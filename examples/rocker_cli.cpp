@@ -22,7 +22,6 @@
 #include "resilience/Resilience.h"
 #include "rocker/RobustnessChecker.h"
 #include "rocker/WitnessGraph.h"
-#include "serve/BatchRunner.h"
 #include "support/ParseNum.h"
 #include "tso/TSORobustness.h"
 
@@ -48,9 +47,6 @@ struct CliState {
   bool Stats = false;
   std::string ReportPath;       ///< --report / ROCKER_REPORT.
   double ProgressInterval = 0;  ///< --progress / ROCKER_PROGRESS; 0 = off.
-  std::string BatchManifest;    ///< --batch; run a manifest, not a program.
-  std::string CacheDir;         ///< --cache; verdict cache for --batch.
-  unsigned BatchWorkers = 1;    ///< --jobs; batch worker-pool size.
   std::string TraceSpec;        ///< --trace / ROCKER_TRACE; FILE[:cap].
   bool OptError = false;        ///< An option value failed to parse.
 };
@@ -140,17 +136,8 @@ const CliOption Options[] = {
        else
          badValue(C, "--max-states", V);
      }},
-    {"--max-seconds", "S",
-     "wall-clock budget (parallel engine; default none)",
-     [](CliState &C, const char *V) {
-       if (auto S = num::parseF64(V))
-         C.Opts.MaxSeconds = *S;
-       else
-         badValue(C, "--max-seconds", V);
-     }},
     {"--threads", "N",
-     "worker threads (default 1 = sequential engine; 0 = hardware "
-     "concurrency)",
+     "exploration workers (default 1; 0 = hardware concurrency)",
      [](CliState &C, const char *V) {
        if (auto N = num::parseU32(V))
          C.Opts.Threads = *N ? *N : resolveThreadCount(0);
@@ -158,8 +145,7 @@ const CliOption Options[] = {
          badValue(C, "--threads", V);
      }},
     {"--bitstate", "K",
-     "Spin-style bitstate hashing with 2^K bits (approximate; sequential "
-     "engine only)",
+     "Spin-style bitstate hashing with 2^K bits (approximate)",
      [](CliState &C, const char *V) {
        if (auto K = num::parseU32(V))
          C.Opts.BitstateLog2 = *K;
@@ -171,7 +157,7 @@ const CliOption Options[] = {
      "component) visited set",
      [](CliState &C, const char *) { C.Opts.CompressVisited = false; }},
     {"--visited", "IMPL",
-     "parallel-engine visited tier: lockfree (CAS-published tables, the "
+     "visited tier: lockfree (CAS-published tables, the "
      "default) or striped (sharded locks); identical verdicts either "
      "way; env equivalent: ROCKER_VISITED",
      [](CliState &C, const char *V) {
@@ -227,8 +213,8 @@ const CliOption Options[] = {
      /*OptionalArg=*/true},
     {"--mem-budget", "BYTES",
      "soft memory budget for visited set + frontier (K/M/G suffixes); on "
-     "pressure the governor degrades storage (exact -> no-payload -> "
-     "bitstate) instead of OOMing; a degraded clean sweep exits "
+     "pressure the governor degrades storage (exact -> bitstate) instead "
+     "of OOMing; a degraded clean sweep exits "
      "BOUNDED-ROBUST (2)",
      [](CliState &C, const char *V) {
        if (auto B = num::parseByteSize(V))
@@ -267,8 +253,8 @@ const CliOption Options[] = {
        C.Opts.Resilience.ResumePath = V;
      }},
     {"--watchdog", "S",
-     "parallel engine: if no worker makes progress for S seconds, stop "
-     "the run as BOUNDED-ROBUST instead of hanging",
+     "if no worker makes progress for S seconds, stop the run as "
+     "BOUNDED-ROBUST instead of hanging",
      [](CliState &C, const char *V) {
        if (auto S = num::parseF64(V))
          C.Opts.Resilience.WatchdogSeconds = *S;
@@ -327,25 +313,6 @@ const CliOption Options[] = {
      "instead of giving up",
      [](CliState &C, const char *) {
        C.Opts.Resilience.SampleOnExhaustion = true;
-     }},
-    {"--batch", "FILE",
-     "run a rocker-batch-manifest/1 job file instead of a single program "
-     "(per-job options come from the manifest; --report then writes the "
-     "rocker-batch-report/1 summary); see rocker_batch for the full "
-     "batch CLI",
-     [](CliState &C, const char *V) { C.BatchManifest = V; }},
-    {"--cache", "DIR",
-     "with --batch: verdict cache directory — hits are served without "
-     "re-exploring, fresh complete verdicts are stored",
-     [](CliState &C, const char *V) { C.CacheDir = V; }},
-    {"--jobs", "N",
-     "with --batch: worker-pool size, jobs in flight at once (default 1; "
-     "0 = hardware concurrency)",
-     [](CliState &C, const char *V) {
-       if (auto N = num::parseU32(V))
-         C.BatchWorkers = *N ? *N : resolveThreadCount(0);
-       else
-         badValue(C, "--jobs", V);
      }},
     {"--trace", "FILE[:N]",
      "record a flight-recorder trace to FILE as Chrome trace-event JSON "
@@ -517,57 +484,6 @@ void printResilience(const resilience::ResilienceReport &RR) {
                 RR.CheckpointSeconds);
 }
 
-/// The --batch path: parse the manifest, run it over the cache, print
-/// one row per job plus the summary, and map to the exit-code contract.
-int runBatchManifest(const CliState &C) {
-  std::ifstream In(C.BatchManifest);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read batch manifest '%s'\n",
-                 C.BatchManifest.c_str());
-    return ExitUsage;
-  }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string MErr;
-  auto Jobs = serve::parseBatchManifest(Buf.str(), &MErr);
-  if (!Jobs) {
-    std::fprintf(stderr, "error: %s: %s\n", C.BatchManifest.c_str(),
-                 MErr.c_str());
-    return ExitUsage;
-  }
-
-  serve::BatchOptions BO;
-  BO.CacheDir = C.CacheDir;
-  BO.Workers = C.BatchWorkers;
-  resilience::installStopHandlers();
-  serve::BatchResult R = serve::runBatch(*Jobs, BO);
-
-  for (const serve::BatchJobResult &J : R.Jobs) {
-    if (!J.Error.empty()) {
-      std::printf("%-24s ERROR: %s\n", J.Name.c_str(), J.Error.c_str());
-      continue;
-    }
-    std::printf("%-24s %-15s %-9s %llu states, %.3fs%s\n", J.Name.c_str(),
-                verdictClassName(J.Verdict), serve::jobSourceName(J.Source),
-                static_cast<unsigned long long>(J.States), J.EngineSeconds,
-                J.Stored ? " [stored]" : "");
-  }
-  std::printf("batch: %zu jobs, %llu hits / %llu misses (%llu resumed), "
-              "%.3fs wall%s\n",
-              R.Jobs.size(), static_cast<unsigned long long>(R.Hits),
-              static_cast<unsigned long long>(R.Misses),
-              static_cast<unsigned long long>(R.Resumes), R.WallSeconds,
-              R.Errors ? " — ERRORS" : "");
-
-  if (!C.ReportPath.empty() &&
-      !serve::writeBatchReport(C.ReportPath, R, BO)) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 C.ReportPath.c_str());
-    return ExitInternal;
-  }
-  return serve::batchExitCode(R);
-}
-
 int exitCodeFor(VerdictClass VC) {
   switch (VC) {
   case VerdictClass::Robust:
@@ -644,16 +560,11 @@ int main(int argc, char **argv) {
       Trace.Active = true;
   }
 
-  if (!C.BatchManifest.empty()) {
-    if (!Input.empty()) // The manifest replaces the program argument.
-      return usage();
-    return runBatchManifest(C);
-  }
   if (Input.empty())
     return usage();
 
-  // Sampling workers ride the same --threads knob as the parallel
-  // exploration engine; sample outcomes are worker-count independent.
+  // Sampling workers ride the same --threads knob as the exploration
+  // engine; sample outcomes are worker-count independent.
   if (C.Opts.UseSampling || C.Opts.Resilience.SampleOnExhaustion)
     C.Opts.Sampling.Workers = C.Opts.Threads ? C.Opts.Threads : 1;
 

@@ -1,12 +1,19 @@
-//===- explore/Explorer.h - Explicit-state product explorer ----*- C++ -*-===//
+//===- explore/Explorer.h - Deterministic BFS reference engine -*- C++ -*-===//
 ///
 /// \file
-/// A breadth-first explicit-state model checker over the product of a
-/// concurrent program (Section 2.2 LTS) and a memory subsystem
-/// (Definition 2.4 concurrent system). This replaces Spin in the paper's
-/// tool pipeline: Rocker reduces robustness to reachability under the
-/// instrumented-SC subsystem SCM, so one generic reachability engine
+/// Shared exploration types (violations, traces, statistics) and the
+/// deterministic breadth-first explorer over the product of a concurrent
+/// program (Section 2.2 LTS) and a memory subsystem (Definition 2.4
+/// concurrent system). Rocker reduces robustness to reachability under
+/// the instrumented-SC subsystem SCM, so one generic reachability loop
 /// serves SC, SCM, RA, TSO and the execution-graph subsystems alike.
+///
+/// Every exhaustive check runs on the work-stealing engine
+/// (parexplore/ParallelExplorer.h). ProductExplorer is that engine's
+/// trace replay: when a run finds a violation, the same options are
+/// re-run here in BFS order with parent edges, so counterexample traces
+/// are shortest and byte-identical whatever the worker count. It is also
+/// the reference the differential tests compare the engine against.
 ///
 /// A memory subsystem MemSys provides:
 ///   using State;                    // copyable, ==
@@ -17,12 +24,12 @@
 ///       // Fn(ThreadId, State&&) for internal steps (e.g. TSO flushes)
 ///   void serialize(const State&, std::string&) const;
 ///
-/// The explorer performs: deduplication via a hashed visited set of
-/// serialized product states, optional parent tracking for counterexample
-/// traces, assertion checking, the Definition 6.1 data-race check on
-/// non-atomic locations, a per-access hook (used for the Theorem 5.3
-/// robustness conditions), and optional collection of reachable
-/// program-state projections (used by the state-robustness oracles).
+/// The explorer performs: deduplication via a hashed visited map of
+/// serialized product states, parent tracking for counterexample traces,
+/// assertion checking, the Definition 6.1 data-race check on non-atomic
+/// locations, a per-access hook (used for the Theorem 5.3 robustness
+/// conditions), ample-set POR (explore/Por.h), and optional collection
+/// of reachable program-state projections.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +42,8 @@
 #include "lang/Step.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
-#include "resilience/Checkpoint.h"
 #include "resilience/Resilience.h"
-#include "support/FaultInject.h"
-#include "support/Hashing.h"
+#include "support/BinCodec.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
 
@@ -112,13 +117,10 @@ struct ExploreStats {
   /// Resilience.h). Default-constructed for runs with no resilience
   /// events.
   resilience::ResilienceReport Resilience;
-  /// Expansion throughput per worker (one entry for the sequential
-  /// engine, one per worker thread for the parallel engine).
+  /// Expansion throughput, one entry per worker.
   std::vector<double> PerThreadStatesPerSec;
 
-  /// Per-worker counters, one entry per worker with the same layout for
-  /// both engines (a single entry for the sequential engine), so report
-  /// consumers don't special-case engine type. Totals across entries
+  /// Per-worker counters, one entry per worker. Totals across entries
   /// equal the whole-run counters above on full explorations.
   struct WorkerCounters {
     uint64_t Expanded = 0;    ///< States popped and expanded.
@@ -141,31 +143,9 @@ struct ExploreStats {
   }
 };
 
-/// Search order for the exploration.
-enum class SearchOrder : uint8_t {
-  BFS, ///< Breadth-first: counterexample traces are shortest (default).
-  DFS  ///< Depth-first: Spin's default order; typically finds *some*
-       ///< violation faster on non-robust programs, with longer traces.
-};
-
-/// Exploration options.
+/// Options of the BFS reference engine.
 struct ExploreOptions {
   uint64_t MaxStates = UINT64_MAX;
-  SearchOrder Order = SearchOrder::BFS;
-  /// When non-zero, use Spin-style bitstate hashing with 2^k bits
-  /// instead of storing full state keys: the visited set shrinks to
-  /// 2^k/8 bytes and expanded states' payloads are released, so only
-  /// the visited bits and the unexpanded frontier occupy memory — but
-  /// hash collisions may prune reachable states, making "no violation"
-  /// results approximate (violations found remain real). Takes
-  /// precedence over CompressVisited.
-  unsigned BitstateLog2 = 0;
-  /// Store visited states as tuples of interned component ids
-  /// (support/StateInterner.h) instead of full serialized keys. Exact —
-  /// identical verdicts, counts, and reports — while typically shrinking
-  /// the visited set several-fold. Default on; ROCKER_NO_COMPRESS=1
-  /// flips the default (for CI equivalence runs and A/B measurement).
-  bool CompressVisited = defaultCompressVisited();
   bool RecordParents = true;
   bool StopOnViolation = true;
   bool CheckAssertions = true;
@@ -186,23 +166,11 @@ struct ExploreOptions {
   /// CollectProgramStates runs (projection sets need the full state
   /// space). Default on; ROCKER_NO_POR=1 flips the default.
   bool UsePor = defaultUsePor();
-  /// Phase the engine's wall time is attributed to. The parallel engine's
-  /// deterministic replay re-runs this engine under obs::Phase::Replay so
-  /// replay time is separable in run reports.
-  obs::Phase TelemetryPhase = obs::Phase::Explore;
-  /// Resource budgets, degradation ladder, and checkpoint/resume
-  /// configuration (resilience/Resilience.h). All off by default. The
-  /// engine polls the SIGINT/SIGTERM stop flag regardless, so a signal
-  /// stops any run at the next governor tick.
-  resilience::ResilienceOptions Resilience;
 };
 
 /// Result of an exploration.
 struct ExploreResult {
   ExploreStats Stats;
-  /// True when bitstate hashing was used: absence of violations is then
-  /// approximate (Spin's -DBITSTATE caveat).
-  bool Approximate = false;
   std::vector<Violation> Violations;
   /// Serialized program-state projections (when requested).
   std::unordered_set<std::string, StateKeyHash> ProgramStates;
@@ -210,7 +178,7 @@ struct ExploreResult {
   bool hasViolation() const { return !Violations.empty(); }
 };
 
-/// Checkpoint codec for violations (shared by both engines).
+/// Checkpoint codec for violations.
 inline void encodeViolation(BinWriter &W, const Violation &V) {
   W.u8(static_cast<uint8_t>(V.K));
   W.u64(V.StateId);
@@ -247,9 +215,9 @@ concept HasStateCodec =
       M.decodeState(R, Mut);
     };
 
-/// The product explorer. \p AccessHook is called for every pending access
-/// of every expanded state with (MemState, ThreadId, Pc, MemAccess) and
-/// may return a Violation-like payload via std::optional<Violation>.
+/// The BFS reference explorer. \p AccessHook is called for every pending
+/// access of every expanded state with (MemState, ThreadId, Pc, MemAccess)
+/// and may return a Violation-like payload via std::optional<Violation>.
 template <typename MemSys> class ProductExplorer {
 public:
   using MemState = typename MemSys::State;
@@ -267,157 +235,38 @@ public:
   /// run() when no hook is needed.
   template <typename AccessHook>
   ExploreResult runWithHook(AccessHook Hook) {
-    RunStart = std::chrono::steady_clock::now();
-    LastCkptTime = RunStart;
-    obs::Span PhaseSp(Opts.TelemetryPhase);
-    obs::ProgressScope Progress(Opts.MaxStates);
-    if (obs::traceActive()) {
-      // Post-mortem dumps land next to the checkpoint when one exists.
-      if (ckptActive())
-        obs::traceSetCrashDumpPath(Opts.Resilience.CheckpointPath +
-                                   ".trace.txt");
-      obs::traceInstant(obs::TraceInstant::EngineStart, 1);
-    }
+    auto Start = std::chrono::steady_clock::now();
+    obs::Span PhaseSp(obs::Phase::Replay);
     ExploreResult Res;
-    auto &RR = Res.Stats.Resilience;
-    uint64_t Expanded = 0;
-    // Governor cadence: every 256 expansions normally; every expansion
-    // when the deterministic test hook pins checkpoints to counts.
-    GovMask = Opts.Resilience.CheckpointEveryExpansions ? 0 : 255;
-
-    if (Opts.BitstateLog2) {
-      Res.Approximate = true;
-      Rung = resilience::StorageRung::Bitstate;
-      Bitstate.assign((static_cast<size_t>(1) << Opts.BitstateLog2) / 64,
-                      0);
-    } else if (Opts.CompressVisited) {
-      Interner.emplace(P.numThreads() + memComponentCount(Mem));
-      SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
-                                 memPerThreadTailComponents(Mem));
-    }
 
     ProductState Init;
     Init.Threads.reserve(P.numThreads());
     for (const SequentialProgram &S : P.Threads)
       Init.Threads.push_back(ThreadState::initial(S));
     Init.M = Mem.initial();
-    PayloadUnit = estimatePayloadUnit(Init);
+    // The initial state fast-forwards too: state 0 is its chain endpoint.
+    intern(fastForward(std::move(Init), 0, Res, Hook), Res);
 
-    bool Ready = true;
-    if constexpr (HasCodec) {
-      if (Opts.Resilience.wantsResume() || ckptActive())
-        CfgHash = configHash();
-    }
-    if (Opts.Resilience.wantsResume()) {
-      if constexpr (HasCodec) {
-        if (Opts.CollectProgramStates) {
-          RR.ResumeError =
-              "checkpoint/resume is unsupported with program-state "
-              "collection";
-          Ready = false;
-        } else if (!restoreCheckpoint(Res)) {
-          Ready = false;
-        }
-      } else {
-        RR.ResumeError =
-            "checkpoint/resume is unsupported for this memory subsystem";
-        Ready = false;
-      }
-      if (!Ready)
+    uint64_t Expanded = 0;
+    for (uint64_t Cursor = 0; Cursor != States.size(); ++Cursor) {
+      if (States.size() >= Opts.MaxStates) {
         Res.Stats.Truncated = true;
-    }
-
-    if (Ready && !RR.Resumed)
-      // The initial state fast-forwards too: state 0 is its chain
-      // endpoint.
-      intern(fastForward(std::move(Init), 0, Res, Hook), Res);
-    Expanded = ExpandedBase;
-    NextCkptExpansions =
-        Expanded + Opts.Resilience.CheckpointEveryExpansions;
-
-    if (Ready && Opts.Order == SearchOrder::BFS) {
-      for (; Cursor != States.size(); ++Cursor) {
-        // Governor tick at the loop top: Cursor is the next unexpanded
-        // state, so the frontier [Cursor, N) is a consistent cut for
-        // checkpoints.
-        if ((Expanded & GovMask) == 0 && !governTick(Res, Expanded))
-          break;
-        if (States.size() >= Opts.MaxStates) {
-          Res.Stats.Truncated = true;
-          break;
-        }
-        Res.Stats.PeakFrontier =
-            std::max(Res.Stats.PeakFrontier, States.size() - Cursor);
-        expand(Cursor, Res, Hook);
-        fi::maybeKill("explore.expand");
-        if ((++Expanded & 1023) == 0)
-          publishProgress(Res, States.size() - Cursor - 1);
-        // Under bitstate hashing the stored payloads exist only to be
-        // expanded once (there is no exact visited map pointing back at
-        // them), so release each one as soon as it has been expanded —
-        // this is what makes the "memory drops to the bit array" claim
-        // true instead of aspirational. The governor's no-payload rung
-        // reuses the same release (ReleasePayloads) while the visited
-        // set stays exact.
-        if (Opts.BitstateLog2 || ReleasePayloads) {
-          States[Cursor] = ProductState();
-          --LivePayloads;
-        }
-        if (!Res.Violations.empty() && Opts.StopOnViolation)
-          break;
+        break;
       }
-    } else if (Ready) {
-      if (!RR.Resumed)
-        DfsStack.push_back(0);
-      while (!DfsStack.empty()) {
-        // See the BFS loop: the stack is the consistent frontier cut.
-        if ((Expanded & GovMask) == 0 && !governTick(Res, Expanded))
-          break;
-        if (States.size() >= Opts.MaxStates) {
-          Res.Stats.Truncated = true;
-          break;
-        }
-        Res.Stats.PeakFrontier =
-            std::max(Res.Stats.PeakFrontier,
-                     static_cast<uint64_t>(DfsStack.size()));
-        uint64_t Id = DfsStack.back();
-        DfsStack.pop_back();
-        expand(Id, Res, Hook);
-        fi::maybeKill("explore.expand");
-        if ((++Expanded & 1023) == 0)
-          publishProgress(Res, DfsStack.size());
-        if (Opts.BitstateLog2 || ReleasePayloads) { // See the BFS loop.
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-        if (!Res.Violations.empty() && Opts.StopOnViolation)
-          break;
-      }
+      Res.Stats.PeakFrontier =
+          std::max(Res.Stats.PeakFrontier, States.size() - Cursor);
+      expand(Cursor, Res, Hook);
+      ++Expanded;
+      if (!Res.Violations.empty() && Opts.StopOnViolation)
+        break;
     }
-
-    // A truncated run (budget, deadline, signal, state cap) leaves a
-    // final checkpoint so --resume can pick up exactly here.
-    if (Res.Stats.Truncated && ckptActive() && RR.ResumeError.empty())
-      writeCheckpoint(Res, Expanded, elapsedSeconds());
 
     Res.Stats.NumStates = States.size();
-    if (Opts.BitstateLog2) {
-      Res.Stats.VisitedBytes = Bitstate.size() * sizeof(uint64_t);
-      Res.Stats.VisitedRawBytes = RawVisitedBytes;
-    } else if (Interner) {
-      Res.Stats.VisitedBytes = Interner->bytesUsed();
-      Res.Stats.VisitedRawBytes = Interner->rawBytes();
-    } else {
-      Res.Stats.VisitedBytes = RawVisitedBytes;
-      Res.Stats.VisitedRawBytes = RawVisitedBytes;
-    }
-    Res.Stats.Seconds =
-        SecondsBase +
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      RunStart)
-            .count();
-    RR.FinalRung = Rung;
-
+    Res.Stats.VisitedBytes = RawVisitedBytes;
+    Res.Stats.VisitedRawBytes = RawVisitedBytes;
+    Res.Stats.Seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - Start)
+                            .count();
     ExploreStats::WorkerCounters W;
     W.Expanded = Expanded;
     W.Transitions = Res.Stats.NumTransitions;
@@ -438,19 +287,6 @@ public:
     obs::add(obs::Ctr::PorFallbacks, PorFullStates);
     obs::add(obs::Ctr::PorSavedSteps, PorSavedSteps);
     obs::add(obs::Ctr::PorChainedStates, PorChainedStates);
-    if (obs::traceActive()) {
-      // Final counter sample: short runs (POR-chained or tiny programs)
-      // can finish inside one progress interval, and traces should
-      // always end with the true totals on the counter tracks.
-      obs::traceCounter(obs::TraceCounterTrack::States,
-                        Res.Stats.NumStates);
-      obs::traceCounter(obs::TraceCounterTrack::Frontier, 0);
-      if (Res.hasViolation())
-        obs::traceInstant(obs::TraceInstant::ViolationFound,
-                          Res.Violations.front().StateId);
-      obs::traceInstant(obs::TraceInstant::EngineStop,
-                        Res.Stats.NumStates);
-    }
     return Res;
   }
 
@@ -494,61 +330,9 @@ private:
     std::string Text;
   };
 
-  /// Adds a state if new; returns its id (or the existing one). Under
-  /// bitstate hashing, "new" is approximated by two independent hash
-  /// bits (Spin's double-bit scheme); colliding states are treated as
-  /// visited and their ids are not reusable (returns NoId).
-  static constexpr uint64_t NoId = ~static_cast<uint64_t>(0);
-
+  /// Adds a state if new; returns its id (or the existing one).
   uint64_t intern(ProductState &&S, ExploreResult &Res) {
     obs::Span Sp(obs::Phase::VisitedProbe);
-    if (Opts.BitstateLog2) {
-      std::string Key = productStateKey(Mem, S.Threads, S.M);
-      uint64_t H = hashBytes(
-          reinterpret_cast<const uint8_t *>(Key.data()), Key.size());
-      uint64_t Mask = (static_cast<uint64_t>(1) << Opts.BitstateLog2) - 1;
-      uint64_t B1 = H & Mask;
-      uint64_t B2 = (H >> 32 ^ H * 0x9e3779b97f4a7c15ull) & Mask;
-      bool Seen = (Bitstate[B1 / 64] >> (B1 % 64)) & 1 &&
-                  (Bitstate[B2 / 64] >> (B2 % 64)) & 1;
-      if (Seen) {
-        ++Res.Stats.DedupHits;
-        return NoId;
-      }
-      Bitstate[B1 / 64] |= static_cast<uint64_t>(1) << (B1 % 64);
-      Bitstate[B2 / 64] |= static_cast<uint64_t>(1) << (B2 % 64);
-      RawVisitedBytes += stringNodeBytes(Key.size(), sizeof(uint64_t));
-      return finishNew(std::move(S), Res);
-    }
-
-    if (Interner) {
-      // Intern per-thread and memory components, then the id tuple. The
-      // component bytes are exactly productStateKey's (permuted per
-      // SlotOrder), so the tuple is new iff the raw key would have been.
-      TupleBuf.resize(Interner->numSlots());
-      CompBuf.clear();
-      uint64_t RawLen = 0;
-      unsigned Idx = 0;
-      auto Cut = [&] {
-        RawLen += CompBuf.size();
-        unsigned Slot = SlotOrder[Idx++];
-        TupleBuf[Slot] = Interner->internComponent(Slot, CompBuf);
-        CompBuf.clear();
-      };
-      for (const ThreadState &TS : S.Threads) {
-        appendThreadStateKey(CompBuf, TS);
-        Cut();
-      }
-      serializeMemComponents(Mem, S.M, CompBuf, Cut);
-      auto [Id, New] = Interner->insertTuple(
-          TupleBuf.data(), stringNodeBytes(RawLen, sizeof(uint64_t)));
-      if (!New) {
-        ++Res.Stats.DedupHits;
-        return Id; // Dense tuple ids coincide with state ids.
-      }
-      return finishNew(std::move(S), Res);
-    }
-
     std::string Key = productStateKey(Mem, S.Threads, S.M);
     size_t KeyLen = Key.size();
     auto [It, New] = Visited.emplace(std::move(Key), States.size());
@@ -557,52 +341,17 @@ private:
       return It->second;
     }
     RawVisitedBytes += stringNodeBytes(KeyLen, sizeof(uint64_t));
-    return finishNew(std::move(S), Res);
-  }
-
-  /// Common tail for newly visited states: record the program-state
-  /// projection, store the state, and schedule it.
-  uint64_t finishNew(ProductState &&S, ExploreResult &Res) {
     if (Opts.CollectProgramStates)
       Res.ProgramStates.insert(programStateKey(S.Threads));
-    ++LivePayloads; // Released after expansion on degraded rungs.
     States.push_back(std::move(S));
     if (Opts.RecordParents)
       Parents.emplace_back();
-    if (Opts.Order == SearchOrder::DFS && States.size() > 1)
-      DfsStack.push_back(States.size() - 1);
     return States.size() - 1;
-  }
-
-  /// Publishes live counts for the progress reporter (every ~1k
-  /// expansions; the visited-set footprint every 8th push because
-  /// bytesUsed() walks the interner's arenas).
-  void publishProgress(ExploreResult &Res, uint64_t Frontier) {
-    if constexpr (!obs::telemetryEnabled())
-      return;
-    obs::progressUpdate(States.size(), Frontier);
-    obs::progressAddCounts(Res.Stats.NumTransitions - PubTransitions,
-                           Res.Stats.DedupHits - PubDedupHits);
-    PubTransitions = Res.Stats.NumTransitions;
-    PubDedupHits = Res.Stats.DedupHits;
-    if (obs::traceActive()) {
-      obs::traceCounter(obs::TraceCounterTrack::States, States.size());
-      obs::traceCounter(obs::TraceCounterTrack::Frontier, Frontier);
-    }
-    if ((++PubCount & 7) != 0)
-      return;
-    uint64_t VisitedB = Opts.BitstateLog2
-                            ? Bitstate.size() * sizeof(uint64_t)
-                        : Interner ? Interner->bytesUsed()
-                                   : RawVisitedBytes;
-    obs::progressVisitedBytes(VisitedB);
-    obs::traceCounter(obs::TraceCounterTrack::VisitedBytes, VisitedB);
   }
 
   void link(uint64_t Child, uint64_t Parent, ThreadId T, bool Internal,
             std::string Text, const Label *L = nullptr) {
-    if (Child == NoId || !Opts.RecordParents ||
-        Child != States.size() - 1 || Child == 0)
+    if (!Opts.RecordParents || Child != States.size() - 1 || Child == 0)
       return;
     ParentEdge E;
     E.Parent = Parent;
@@ -715,7 +464,7 @@ private:
   /// terminates because ample steps strictly increase the stepped
   /// thread's pc, and the stored set — the initial chain endpoint plus
   /// endpoints reached from fully-expanded states — is a pure function
-  /// of the program, so BFS, DFS, and the parallel engine agree on
+  /// of the program, so this BFS and the work-stealing engine agree on
   /// state counts.
   template <typename AccessHook>
   ProductState fastForward(ProductState &&S, uint64_t Id,
@@ -801,8 +550,8 @@ private:
     // threads can still do, only that thread's successors are generated
     // below — the per-state checks (assertions, the access hook, the
     // race check) still run for every thread. Selection is a pure
-    // function of the state, so every search order and engine reduces to
-    // the same state graph. In non-trace runs fastForward keeps ample
+    // function of the state, so this BFS and every worker of the
+    // work-stealing engine reduce to the same state graph. In non-trace runs fastForward keeps ample
     // states out of the visited set entirely, so this block fires only
     // in trace mode (and on the contract-breach fallback).
     int Ample = -1;
@@ -969,491 +718,6 @@ private:
       ++Res.Stats.NumDeadlockStates;
   }
 
-  //===--------------------------------------------------------------------===
-  // Resilience: resource governor, degradation ladder, checkpoint/resume.
-  //===--------------------------------------------------------------------===
-
-  /// Whether this instantiation can write/read checkpoints at all.
-  static constexpr bool HasCodec = HasStateCodec<MemSys>;
-
-  bool ckptActive() const {
-    return HasCodec && !Opts.CollectProgramStates &&
-           Opts.Resilience.wantsCheckpoints();
-  }
-
-  double elapsedSeconds() const {
-    return SecondsBase +
-           std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - RunStart)
-               .count();
-  }
-
-  /// Rough per-state payload footprint, estimated once from the initial
-  /// state (thread/memory state sizes are program-constant for every
-  /// subsystem here). Used to attribute frontier memory to the budget.
-  uint64_t estimatePayloadUnit(const ProductState &S) const {
-    uint64_t B = sizeof(ProductState) +
-                 S.Threads.size() * sizeof(ThreadState);
-    for (const ThreadState &TS : S.Threads)
-      B += TS.Regs.capacity();
-    std::string Tmp;
-    Mem.serialize(S.M, Tmp);
-    B += 2 * Tmp.size() + 32; // Subsystem state ≈ its serialization.
-    return B;
-  }
-
-  /// Bytes the governor charges against --mem-budget: the visited set
-  /// plus the live (unreleased) state payloads.
-  uint64_t governedBytes() const {
-    uint64_t VisitedB = Opts.BitstateLog2
-                            ? Bitstate.size() * sizeof(uint64_t)
-                        : Interner ? Interner->bytesUsed()
-                                   : RawVisitedBytes;
-    return VisitedB + LivePayloads * PayloadUnit;
-  }
-
-  /// One governor tick: stop flag, deadline, periodic checkpoint, memory
-  /// budget (in that order). Returns false when the run must stop;
-  /// Truncated and the reason flags are already set then.
-  bool governTick(ExploreResult &Res, uint64_t Expanded) {
-    auto &RR = Res.Stats.Resilience;
-    const resilience::ResilienceOptions &RO = Opts.Resilience;
-    if (resilience::stopRequested()) {
-      if (obs::traceActive()) {
-        obs::traceInstant(obs::TraceInstant::StopDrain);
-        obs::traceCrashDump("signal drain (sequential engine)");
-      }
-      RR.Interrupted = true;
-      Res.Stats.Truncated = true;
-      return false;
-    }
-    auto Now = std::chrono::steady_clock::now();
-    double Elapsed =
-        SecondsBase +
-        std::chrono::duration<double>(Now - RunStart).count() +
-        fi::clockSkewSeconds();
-    if (RO.DeadlineSeconds > 0 && Elapsed >= RO.DeadlineSeconds) {
-      RR.DeadlineHit = true;
-      Res.Stats.Truncated = true;
-      return false;
-    }
-    if (ckptActive()) {
-      bool Due =
-          RO.CheckpointEveryExpansions
-              ? Expanded >= NextCkptExpansions
-              : std::chrono::duration<double>(Now - LastCkptTime)
-                        .count() >= RO.CheckpointIntervalSeconds;
-      if (Due) {
-        writeCheckpoint(Res, Expanded, Elapsed);
-        LastCkptTime = std::chrono::steady_clock::now();
-        NextCkptExpansions = Expanded + RO.CheckpointEveryExpansions;
-      }
-    }
-    if (RO.MemBudgetBytes && !Opts.CollectProgramStates) {
-      uint64_t Used = governedBytes();
-      if (Used > RO.MemBudgetBytes || fi::shouldFail("govern.alloc")) {
-        if (!downgrade(Res, Used, Elapsed)) {
-          Res.Stats.Truncated = true;
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Walks one rung down the degradation ladder. Returns false when
-  /// there is nothing left to shed (already at bitstate).
-  bool downgrade(ExploreResult &Res, uint64_t Used, double Elapsed) {
-    using resilience::StorageRung;
-    auto &RR = Res.Stats.Resilience;
-    StorageRung From = Rung;
-    if (Rung == StorageRung::Exact) {
-      // Rung 1: keep the exact visited set, drop expanded payloads.
-      Rung = StorageRung::NoPayload;
-      ReleasePayloads = true;
-      releaseExpandedPayloads();
-    } else if (Rung == StorageRung::NoPayload) {
-      // Rung 2: replace the exact visited set with double-bit bitstate
-      // hashing. The verdict becomes approximate (BoundedRobust).
-      enterBitstate(Res);
-      Rung = StorageRung::Bitstate;
-    } else {
-      return false; // Last rung: the governor stops the run instead.
-    }
-    resilience::DowngradeEvent E;
-    E.From = From;
-    E.To = Rung;
-    E.AtStates = States.size();
-    E.AtSeconds = Elapsed;
-    E.UsedBytes = Used;
-    RR.Downgrades.push_back(E);
-    RR.FinalRung = Rung;
-    obs::add(obs::Ctr::GovernorDowngrades, 1);
-    obs::traceInstant(obs::TraceInstant::Downgrade,
-                      static_cast<uint64_t>(Rung));
-    return true;
-  }
-
-  /// Releases every already-expanded payload (the frontier keeps its
-  /// payloads — those are still needed for expansion).
-  void releaseExpandedPayloads() {
-    if (Opts.Order == SearchOrder::BFS) {
-      for (uint64_t Id = 0; Id < Cursor; ++Id)
-        if (!States[Id].Threads.empty()) {
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-    } else {
-      std::unordered_set<uint64_t> Live(DfsStack.begin(), DfsStack.end());
-      for (uint64_t Id = 0; Id != States.size(); ++Id)
-        if (!Live.count(Id) && !States[Id].Threads.empty()) {
-          States[Id] = ProductState();
-          --LivePayloads;
-        }
-    }
-  }
-
-  /// Sets the visited bits for hash \p H — the exact double-bit scheme
-  /// intern() probes, so states seeded here read as visited afterwards.
-  void markBits(uint64_t H) {
-    uint64_t Mask = (static_cast<uint64_t>(1) << Opts.BitstateLog2) - 1;
-    uint64_t B1 = H & Mask;
-    uint64_t B2 = (H >> 32 ^ H * 0x9e3779b97f4a7c15ull) & Mask;
-    Bitstate[B1 / 64] |= static_cast<uint64_t>(1) << (B1 % 64);
-    Bitstate[B2 / 64] |= static_cast<uint64_t>(1) << (B2 % 64);
-  }
-
-  /// NoPayload → Bitstate: size a bit array to the budget, seed it with
-  /// every visited state's raw key (the interner's raw keys concatenate
-  /// to exactly productStateKey, so probes after the switch agree with
-  /// the exact set), then free the exact structures.
-  void enterBitstate(ExploreResult &Res) {
-    unsigned K =
-        resilience::bitstateLog2ForBudget(Opts.Resilience.MemBudgetBytes);
-    Bitstate.assign((static_cast<size_t>(1) << K) / 64, 0);
-    Opts.BitstateLog2 = K;
-    Res.Approximate = true;
-    auto Seed = [&](const std::string &Key) {
-      markBits(hashBytes(reinterpret_cast<const uint8_t *>(Key.data()),
-                         Key.size()));
-    };
-    if (Interner) {
-      RawVisitedBytes = Interner->rawBytes();
-      Interner->forEachRawKey(SlotOrder, Seed);
-      Interner.reset();
-    } else {
-      for (const auto &KV : Visited)
-        Seed(KV.first);
-      std::unordered_map<std::string, uint64_t, StateKeyHash>().swap(
-          Visited);
-    }
-  }
-
-  /// Hash of everything that must match between a checkpointing run and
-  /// a resuming run for the serialized state to mean the same thing.
-  uint64_t configHash() const {
-    std::string S = toString(P);
-    S += "|engine=seq";
-    S += "|order=" + std::to_string(static_cast<int>(Opts.Order));
-    S += "|compress=" + std::to_string(Opts.CompressVisited);
-    S += "|bitstate=" + std::to_string(Opts.BitstateLog2);
-    S += "|parents=" + std::to_string(Opts.RecordParents);
-    S += "|stoponviol=" + std::to_string(Opts.StopOnViolation);
-    S += "|asserts=" + std::to_string(Opts.CheckAssertions);
-    S += "|races=" + std::to_string(Opts.CheckRaces);
-    S += "|collapse=" + std::to_string(Opts.CollapseLocalSteps);
-    S += "|por=" + std::to_string(Opts.UsePor);
-    std::string MemBytes;
-    Mem.serialize(Mem.initial(), MemBytes);
-    S += "|mem=";
-    S += MemBytes;
-    return hashBytes(reinterpret_cast<const uint8_t *>(S.data()),
-                     S.size());
-  }
-
-  void encodeProductState(BinWriter &W, const ProductState &S) const {
-    if constexpr (HasCodec) {
-      for (const ThreadState &TS : S.Threads) {
-        W.varu64(TS.Pc);
-        W.bytes(TS.Regs.data(), TS.Regs.size());
-      }
-      Mem.encodeState(S.M, W.Buf);
-    }
-  }
-
-  bool decodeProductState(BinReader &R, ProductState &S) const {
-    if constexpr (HasCodec) {
-      S.Threads.clear();
-      S.Threads.reserve(P.numThreads());
-      for (const SequentialProgram &SP : P.Threads) {
-        // Regs length comes from the program, not the stream.
-        ThreadState TS = ThreadState::initial(SP);
-        TS.Pc = static_cast<uint32_t>(R.varu64());
-        R.bytes(TS.Regs.data(), TS.Regs.size());
-        S.Threads.push_back(std::move(TS));
-      }
-      return Mem.decodeState(R, S.M) && !R.fail();
-    }
-    return false;
-  }
-
-  /// Serializes the full resumable run state and writes it crash-safely
-  /// (resilience/Checkpoint.h: tmp + fsync + atomic rename).
-  void writeCheckpoint(ExploreResult &Res, uint64_t Expanded,
-                       double Elapsed) {
-    if constexpr (HasCodec) {
-      auto T0 = std::chrono::steady_clock::now();
-      auto &RR = Res.Stats.Resilience;
-      BinWriter W;
-      W.u8(0); // Engine: sequential.
-      W.u8(static_cast<uint8_t>(Rung));
-      W.u8(Opts.Order == SearchOrder::DFS ? 1 : 0);
-      W.u8(Opts.RecordParents ? 1 : 0);
-      W.u64(States.size());
-      W.u64(Cursor);
-      W.u64(Expanded);
-      W.f64(Elapsed);
-      W.u64(Res.Stats.NumTransitions);
-      W.u64(Res.Stats.DedupHits);
-      W.u64(Res.Stats.NumDeadlockStates);
-      W.u64(Res.Stats.PeakFrontier);
-      W.u64(AmpleStates);
-      W.u64(PorFullStates);
-      W.u64(PorSavedSteps);
-      W.u64(PorChainedStates);
-      // Resilience provenance, so a resumed run reports the full
-      // degradation history rather than just its own.
-      W.varu64(RR.Downgrades.size());
-      for (const resilience::DowngradeEvent &E : RR.Downgrades) {
-        W.u8(static_cast<uint8_t>(E.From));
-        W.u8(static_cast<uint8_t>(E.To));
-        W.u64(E.AtStates);
-        W.f64(E.AtSeconds);
-        W.u64(E.UsedBytes);
-      }
-      W.u64(RR.CheckpointsWritten);
-      W.u64(RR.CheckpointBytes);
-      W.f64(RR.CheckpointSeconds);
-      W.u8(static_cast<uint8_t>(Opts.BitstateLog2));
-      W.varu64(Res.Violations.size());
-      for (const Violation &V : Res.Violations)
-        encodeViolation(W, V);
-      // Visited set, tagged by representation at checkpoint time (the
-      // ladder may have changed it since the run started).
-      if (Opts.BitstateLog2) {
-        W.u8(2);
-        W.u64(RawVisitedBytes);
-        W.u64(Bitstate.size());
-        W.bytes(Bitstate.data(), Bitstate.size() * sizeof(uint64_t));
-      } else if (Interner) {
-        W.u8(0);
-        Interner->save(W);
-      } else {
-        W.u8(1);
-        W.u64(RawVisitedBytes);
-        W.u64(Visited.size());
-        for (const auto &KV : Visited) {
-          W.str(KV.first);
-          W.u64(KV.second);
-        }
-      }
-      // Frontier payloads (the only states that still need them).
-      if (Opts.Order == SearchOrder::BFS) {
-        W.u64(States.size() - Cursor);
-        for (uint64_t Id = Cursor; Id != States.size(); ++Id)
-          encodeProductState(W, States[Id]);
-      } else {
-        W.u64(DfsStack.size());
-        for (uint64_t Id : DfsStack) {
-          W.u64(Id);
-          encodeProductState(W, States[Id]);
-        }
-      }
-      if (Opts.RecordParents)
-        for (const ParentEdge &E : Parents) {
-          W.varu64(E.Parent);
-          W.u8(E.Thread);
-          W.u8((E.Internal ? 1 : 0) | (E.IsAccess ? 2 : 0));
-          W.u8(static_cast<uint8_t>(E.L.Type));
-          W.u8(E.L.Loc);
-          W.u8(E.L.ValR);
-          W.u8(E.L.ValW);
-          W.u8(E.L.IsNA ? 1 : 0);
-          W.str(E.Text);
-        }
-      std::string Err;
-      if (ckpt::writeCheckpointFile(Opts.Resilience.CheckpointPath,
-                                    CfgHash, W.Buf, &Err)) {
-        ++RR.CheckpointsWritten;
-        RR.CheckpointBytes += W.Buf.size();
-        obs::add(obs::Ctr::CheckpointWrites, 1);
-        obs::add(obs::Ctr::CheckpointBytes, W.Buf.size());
-        obs::traceInstant(obs::TraceInstant::CheckpointWrite,
-                          W.Buf.size());
-      }
-      RR.CheckpointSeconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        T0)
-              .count();
-    }
-  }
-
-  /// Restores a run from Opts.Resilience.ResumePath. On failure the
-  /// report's ResumeError explains why and the caller returns a
-  /// truncated result — a resume failure never silently restarts the
-  /// exploration from scratch.
-  bool restoreCheckpoint(ExploreResult &Res) {
-    if constexpr (HasCodec) {
-      auto &RR = Res.Stats.Resilience;
-      std::string Err;
-      std::optional<std::string> Payload = ckpt::loadCheckpointFile(
-          Opts.Resilience.ResumePath, CfgHash, &Err);
-      if (!Payload) {
-        RR.ResumeError = Err;
-        return false;
-      }
-      BinReader R(*Payload);
-      uint8_t Engine = R.u8();
-      uint8_t RungByte = R.u8();
-      uint8_t IsDfs = R.u8();
-      uint8_t HasParents = R.u8();
-      if (R.fail() || Engine != 0) {
-        RR.ResumeError = "checkpoint was written by a different engine";
-        return false;
-      }
-      if ((IsDfs != 0) != (Opts.Order == SearchOrder::DFS) ||
-          (HasParents != 0) != Opts.RecordParents ||
-          RungByte > static_cast<uint8_t>(
-                         resilience::StorageRung::Bitstate)) {
-        RR.ResumeError = "checkpoint search configuration mismatch";
-        return false;
-      }
-      uint64_t N = R.u64();
-      Cursor = R.u64();
-      ExpandedBase = R.u64();
-      SecondsBase = R.f64();
-      Res.Stats.NumTransitions = R.u64();
-      Res.Stats.DedupHits = R.u64();
-      Res.Stats.NumDeadlockStates = R.u64();
-      Res.Stats.PeakFrontier = R.u64();
-      AmpleStates = R.u64();
-      PorFullStates = R.u64();
-      PorSavedSteps = R.u64();
-      PorChainedStates = R.u64();
-      uint64_t NumDowngrades = R.varu64();
-      for (uint64_t I = 0; I != NumDowngrades && !R.fail(); ++I) {
-        resilience::DowngradeEvent E;
-        E.From = static_cast<resilience::StorageRung>(R.u8());
-        E.To = static_cast<resilience::StorageRung>(R.u8());
-        E.AtStates = R.u64();
-        E.AtSeconds = R.f64();
-        E.UsedBytes = R.u64();
-        RR.Downgrades.push_back(E);
-      }
-      RR.CheckpointsWritten = R.u64();
-      RR.CheckpointBytes = R.u64();
-      RR.CheckpointSeconds = R.f64();
-      uint8_t BitK = R.u8();
-      uint64_t NumViolations = R.varu64();
-      for (uint64_t I = 0; I != NumViolations && !R.fail(); ++I)
-        Res.Violations.push_back(decodeViolation(R));
-      Rung = static_cast<resilience::StorageRung>(RungByte);
-      ReleasePayloads = Rung != resilience::StorageRung::Exact;
-      uint8_t Tag = R.u8();
-      if (R.fail()) {
-        RR.ResumeError = "truncated checkpoint payload";
-        return false;
-      }
-      if (Tag == 2) {
-        // Checkpoint was taken on the bitstate rung (or the run started
-        // with --bitstate): replace whatever representation setup chose.
-        Opts.BitstateLog2 = BitK;
-        Res.Approximate = true;
-        Interner.reset();
-        RawVisitedBytes = R.u64();
-        uint64_t Words = R.u64();
-        if (Words > (Payload->size() / sizeof(uint64_t)) + 1) {
-          RR.ResumeError = "corrupt checkpoint: bitstate size";
-          return false;
-        }
-        Bitstate.assign(Words, 0);
-        R.bytes(Bitstate.data(), Words * sizeof(uint64_t));
-      } else if (Tag == 0) {
-        if (!Interner || !Interner->restore(R)) {
-          RR.ResumeError = "corrupt checkpoint: compressed visited set";
-          return false;
-        }
-      } else if (Tag == 1) {
-        if (Interner || Opts.BitstateLog2) {
-          RR.ResumeError = "checkpoint visited-set mode mismatch";
-          return false;
-        }
-        RawVisitedBytes = R.u64();
-        uint64_t NumKeys = R.u64();
-        for (uint64_t I = 0; I != NumKeys && !R.fail(); ++I) {
-          std::string Key = R.str();
-          uint64_t Id = R.u64();
-          Visited.emplace(std::move(Key), Id);
-        }
-      } else {
-        RR.ResumeError = "corrupt checkpoint: unknown visited-set tag";
-        return false;
-      }
-      States.clear();
-      States.resize(N);
-      uint64_t NumFrontier = R.u64();
-      if (Opts.Order == SearchOrder::BFS) {
-        if (R.fail() || NumFrontier != N - Cursor) {
-          RR.ResumeError = "corrupt checkpoint: frontier shape";
-          return false;
-        }
-        for (uint64_t Id = Cursor; Id != N; ++Id)
-          if (!decodeProductState(R, States[Id])) {
-            RR.ResumeError = "corrupt checkpoint: frontier state";
-            return false;
-          }
-      } else {
-        for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
-          uint64_t Id = R.u64();
-          if (Id >= N || !decodeProductState(R, States[Id])) {
-            RR.ResumeError = "corrupt checkpoint: frontier state";
-            return false;
-          }
-          DfsStack.push_back(Id);
-        }
-      }
-      LivePayloads = NumFrontier;
-      if (Opts.RecordParents) {
-        Parents.clear();
-        Parents.reserve(N);
-        for (uint64_t I = 0; I != N && !R.fail(); ++I) {
-          ParentEdge E;
-          E.Parent = R.varu64();
-          E.Thread = R.u8();
-          uint8_t Flags = R.u8();
-          E.Internal = (Flags & 1) != 0;
-          E.IsAccess = (Flags & 2) != 0;
-          E.L.Type = static_cast<AccessType>(R.u8());
-          E.L.Loc = R.u8();
-          E.L.ValR = R.u8();
-          E.L.ValW = R.u8();
-          E.L.IsNA = R.u8() != 0;
-          E.Text = R.str();
-          Parents.push_back(std::move(E));
-        }
-      }
-      if (R.fail()) {
-        RR.ResumeError = "truncated checkpoint payload";
-        return false;
-      }
-      RR.Resumed = true;
-      RR.RestoredStates = N;
-      obs::traceInstant(obs::TraceInstant::CheckpointResume, N);
-      return true;
-    }
-    return false;
-  }
-
   const Program &P;
   const MemSys &Mem;
   ExploreOptions Opts;
@@ -1466,33 +730,8 @@ private:
   uint64_t PorChainedStates = 0; ///< Chain intermediates never stored.
   std::deque<ProductState> States;
   std::vector<ParentEdge> Parents;
-  /// Raw visited map (CompressVisited off and no bitstate hashing).
   std::unordered_map<std::string, uint64_t, StateKeyHash> Visited;
-  /// Compressed visited set (engaged when CompressVisited is on).
-  std::optional<StateInterner> Interner;
-  std::string CompBuf;            ///< Scratch: current component bytes.
-  std::vector<uint32_t> TupleBuf; ///< Scratch: current id tuple.
-  std::vector<uint32_t> SlotOrder; ///< Emission index → tuple slot.
-  uint64_t RawVisitedBytes = 0;   ///< Raw-key byte accounting.
-  std::vector<uint64_t> Bitstate; ///< Bitstate-hashing visited bits.
-  std::vector<uint64_t> DfsStack;
-  uint64_t PubTransitions = 0; ///< Progress: last published transitions.
-  uint64_t PubDedupHits = 0;   ///< Progress: last published dedup hits.
-  uint64_t PubCount = 0;       ///< Progress: pushes so far.
-
-  // Resilience state (see the helper block above).
-  resilience::StorageRung Rung = resilience::StorageRung::Exact;
-  bool ReleasePayloads = false; ///< NoPayload rung: drop after expansion.
-  uint64_t Cursor = 0;          ///< BFS: next state to expand (resumable).
-  uint64_t LivePayloads = 0;    ///< States still holding their payload.
-  uint64_t PayloadUnit = 0;     ///< Estimated bytes per live payload.
-  uint64_t CfgHash = 0;         ///< Checkpoint compatibility hash.
-  uint64_t GovMask = 255;      ///< Expansions between governor ticks - 1.
-  uint64_t NextCkptExpansions = 0; ///< Count-based checkpoint trigger.
-  uint64_t ExpandedBase = 0; ///< Expansions restored from a checkpoint.
-  double SecondsBase = 0;    ///< Wall seconds restored from a checkpoint.
-  std::chrono::steady_clock::time_point RunStart;
-  std::chrono::steady_clock::time_point LastCkptTime;
+  uint64_t RawVisitedBytes = 0; ///< Visited-map byte accounting.
 };
 
 /// Renders a violation kind for reports.

@@ -53,13 +53,9 @@ json::Value toolJson() {
 
 json::Value configJson(const RockerOptions &C) {
   json::Value J = json::Value::object();
-  J.set("engine", C.UseSampling ? "sample"
-        : C.Threads > 1 && C.BitstateLog2 == 0 ? "parallel"
-                                               : "sequential");
+  J.set("engine", C.UseSampling ? "sample" : "exact");
   J.set("threads", C.Threads);
   J.set("max_states", C.MaxStates);
-  J.set("max_seconds", C.MaxSeconds);
-  J.set("order", C.Order == SearchOrder::BFS ? "bfs" : "dfs");
   J.set("bitstate_log2", C.BitstateLog2);
   J.set("compress_visited", C.CompressVisited);
   J.set("critical_abstraction", C.UseCriticalAbstraction);

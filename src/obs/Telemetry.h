@@ -55,7 +55,7 @@ enum class Phase : uint8_t {
   MonitorStep,  ///< SCM monitor checkAccess (Theorem 5.3 conditions).
   VisitedProbe, ///< Visited-set probe/insert incl. key serialization.
   OracleSweep,  ///< SC-consistency sweeps / oracle set comparisons.
-  Replay,       ///< Parallel engine's deterministic sequential replay.
+  Replay,       ///< The engine's deterministic BFS trace replay.
   Report,       ///< Run-report serialization and writing.
   Sample,       ///< Sampling engine's monitored random-schedule loop.
   Batch         ///< serve/: verdict-cache lookups/stores and batch
@@ -259,8 +259,7 @@ inline void add(Ctr C, uint64_t N = 1) {
 }
 
 /// Live engine progress published for the reporter thread. One global
-/// slot: explorations do not overlap except for the parallel engine's
-/// sequential replay, which ProgressScope save/restores around.
+/// slot: explorations do not overlap, and the BFS replay publishes none.
 struct ProgressData {
   std::atomic<bool> Active{false};
   std::atomic<uint64_t> States{0};

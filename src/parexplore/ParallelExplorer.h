@@ -1,11 +1,13 @@
 //===- parexplore/ParallelExplorer.h - Work-stealing explorer --*- C++ -*-===//
 ///
 /// \file
-/// A multi-threaded drop-in alternative to the sequential ProductExplorer
-/// (explore/Explorer.h) for any memory subsystem satisfying the same
-/// concept (initial/enumerate/enumerateInternal/serialize). Rocker reduces
-/// robustness to reachability (Theorem 5.3), so every oracle in this repo
-/// bottlenecks on the exploration loop; this engine parallelizes it:
+/// The exhaustive exploration engine: every exact check in this repo
+/// (checkRobustness, exploreSC, the state and graph oracles, the TSO
+/// baseline) runs here, for any memory subsystem satisfying the
+/// explore/Explorer.h concept (initial/enumerate/enumerateInternal/
+/// serialize). One worker is simply the 1-worker case of the same loop.
+/// Rocker reduces robustness to reachability (Theorem 5.3), so every
+/// check bottlenecks on this loop:
 ///
 ///  * Visited set: by default a lock-free collapse-compressed set of
 ///    interned component-id tuples (support/LockFreeVisited.h — CAS-
@@ -17,28 +19,33 @@
 ///    product-state keys in either tier. Every combination deduplicates
 ///    exactly, so a run that is not truncated visits exactly the
 ///    reachable state set — state and transition counts are equal to the
-///    sequential engine's. The lock-free tables are fixed-capacity; on
-///    the (engineered-to-be-rare) full-table event the run truncates like
-///    a MaxStates cut rather than ever mis-deduplicating.
+///    BFS reference's at every worker count. The lock-free tables are
+///    fixed-capacity; on the (engineered-to-be-rare) full-table event the
+///    run truncates like a MaxStates cut rather than ever
+///    mis-deduplicating. BitstateLog2 starts the run on the bitstate rung
+///    (Spin-style double-bit hashing, approximate) instead.
 ///  * Frontier: one WorkDeque per worker (owner LIFO, thieves FIFO), with
-///    round-robin stealing.
+///    randomized stealing. A single worker therefore explores depth-first.
 ///  * Termination: a Dijkstra-style in-flight counter (TerminationBarrier)
 ///    — a state is counted from the moment it is enqueued until its
 ///    expansion has enumerated all successors, so InFlight == 0 proves no
 ///    worker holds or will produce work.
 ///  * Determinism: exploration order is racy, but verdicts are not — the
 ///    visited set is order-independent. When any worker reports a
-///    violation, all workers drain and the engine re-runs the sequential
-///    BFS engine under the same options ("replay"), so counterexample
-///    traces and Violation contents are byte-identical to what the
-///    sequential engine reports on the same program.
-///  * Graceful degradation: state-count (MaxStates) and wall-clock
-///    (MaxSeconds) limits stop the run with ParVerdict::Bounded instead
-///    of aborting; a violation found before the limit still wins.
-///
-/// Not supported (the dispatchers in rocker/ fall back to the sequential
-/// engine): bitstate hashing, DFS order, parent tracking for states other
-/// than via replay.
+///    violation, all workers drain and the engine re-runs the BFS
+///    reference (ProductExplorer) under the same options ("replay"), so
+///    counterexample traces and Violation contents are byte-identical at
+///    every worker count.
+///  * Resilience: the main thread runs one governor (manage) that ticks
+///    at start, every 10 ms, and when a worker asks for a tick (every 256
+///    of its expansions under a memory budget, at count-pinned
+///    checkpoints, when a lock-free table needs to grow); it returns as
+///    soon as the last worker exits.
+///    State-count (MaxStates) and wall-clock (Resilience.DeadlineSeconds)
+///    limits stop the run with ParVerdict::Bounded instead of aborting; a
+///    violation found before the limit still wins. Only a violation stop
+///    abandons a popped state, so every other stop leaves a frontier that
+///    is a consistent cut for the final checkpoint.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +57,10 @@
 #include "lang/Step.h"
 #include "obs/Trace.h"
 #include "parexplore/WorkDeque.h"
+#include "resilience/Checkpoint.h"
+#include "resilience/Resilience.h"
+#include "support/FaultInject.h"
+#include "support/Hashing.h"
 #include "support/LockFreeVisited.h"
 #include "support/ShardedSet.h"
 #include "support/StateInterner.h"
@@ -70,12 +81,13 @@
 
 namespace rocker {
 
-/// Outcome of a parallel exploration.
+/// Outcome of an exploration.
 enum class ParVerdict : uint8_t {
   NoViolation, ///< Full state space explored, no violation.
   Violation,   ///< At least one violation found (always real).
-  Bounded      ///< Hit MaxStates or MaxSeconds with no violation found:
-               ///< the absence of violations is inconclusive.
+  Bounded      ///< Hit a budget with no violation found, or ran on the
+               ///< bitstate rung: the absence of violations is
+               ///< inconclusive.
 };
 
 /// Renders a verdict for reports.
@@ -99,21 +111,24 @@ concept HasIncrementalHash =
 /// clamped to at least 1).
 unsigned resolveThreadCount(unsigned Requested);
 
-/// Options for the parallel engine. Semantic options mirror
-/// ExploreOptions; exploration-order options (BFS/DFS, bitstate) do not
-/// exist here by design.
+/// Options for the exploration engine. Semantic options mirror
+/// ExploreOptions.
 struct ParExploreOptions {
   unsigned Threads = 0;  ///< Worker count; 0 = hardware concurrency.
   uint64_t MaxStates = UINT64_MAX;
-  double MaxSeconds = 0; ///< Wall-clock budget; 0 = unlimited.
+  /// When non-zero, start on the bitstate rung: Spin-style double-bit
+  /// hashing into 2^k bits instead of an exact visited set. Hash
+  /// collisions may prune reachable states, so a clean sweep is only
+  /// Bounded (violations found remain real).
+  unsigned BitstateLog2 = 0;
   bool StopOnViolation = true;
   bool CheckAssertions = true;
   bool CheckRaces = false;
   bool CollectProgramStates = false;
   bool CollapseLocalSteps = false;
-  /// Reconstruct traces via the sequential replay (see file comment).
+  /// Reconstruct traces via the BFS replay (see file comment).
   bool RecordTrace = true;
-  /// Run the deterministic sequential replay when a violation is found.
+  /// Run the deterministic BFS replay when a violation is found.
   bool ReplayOnViolation = true;
   unsigned ShardCountLog2 = 8; ///< Striped visited-set shards = 2^k.
   /// Use the collapse-compressed visited set (exact; see
@@ -134,33 +149,33 @@ struct ParExploreOptions {
   /// Ample-set partial-order reduction (see ExploreOptions::UsePor).
   /// Selection is a pure function of the state, so the reduced graph —
   /// and hence verdicts, violation sets, and deadlock counts — is
-  /// identical to the sequential engine's.
+  /// identical to the BFS reference's.
   bool UsePor = defaultUsePor();
   /// Resource budgets, watchdog, and checkpoint/resume configuration
   /// (resilience/Resilience.h). A management thread enforces these while
   /// the workers run; checkpoints pause the world at a consistent cut
-  /// (all unexpanded states parked in the deques). The parallel ladder
-  /// has no NoPayload rung — expanded states are never stored — so the
-  /// first memory downgrade goes straight to bitstate hashing.
+  /// (all unexpanded states parked in the deques). The ladder has no
+  /// NoPayload rung — expanded states are never stored — so the first
+  /// memory downgrade goes straight to bitstate hashing.
   resilience::ResilienceOptions Resilience;
 };
 
-/// Result of a parallel exploration.
+/// Result of an exploration.
 struct ParExploreResult {
   ParVerdict Verdict = ParVerdict::NoViolation;
   ExploreStats Stats;
-  /// After a successful replay these are byte-identical to the sequential
-  /// engine's violations; otherwise the raw parallel findings (StateId 0).
+  /// After a successful replay these are the BFS reference's violations;
+  /// otherwise the raw findings of the workers (StateId 0).
   std::vector<Violation> Violations;
   std::vector<TraceStep> FirstViolationTrace;
   std::string FirstViolationText;
   /// True when the violations above come from the deterministic replay.
   bool Replayed = false;
-  /// True when the run stopped on the wall-clock budget.
+  /// True when the run stopped on the wall-clock deadline.
   bool TimedOut = false;
-  /// True when the governor downgraded the visited set to bitstate
-  /// hashing: the absence of violations is then approximate, so a
-  /// violation-free run reports ParVerdict::Bounded.
+  /// True when the run ended on the bitstate rung (started there or
+  /// downgraded by the governor): the absence of violations is then
+  /// approximate, so a violation-free run reports ParVerdict::Bounded.
   bool Approximate = false;
   /// Program-state projections (when requested).
   std::unordered_set<std::string, StateKeyHash> ProgramStates;
@@ -188,10 +203,10 @@ private:
   std::atomic<bool> StopFlag{false};
 };
 
-/// The parallel product explorer. Hooks must be thread-safe: the access
-/// hook (same signature as ProductExplorer's) and the optional state hook
-/// (called once per newly discovered state) run concurrently from all
-/// workers against const state.
+/// The work-stealing product explorer. Hooks must be thread-safe: the
+/// access hook (same signature as ProductExplorer's) and the optional
+/// state hook (called once per newly discovered state) run concurrently
+/// from all workers against const state.
 template <typename MemSys> class ParallelExplorer {
 public:
   using MemState = typename MemSys::State;
@@ -227,7 +242,10 @@ public:
     }
     Shared Sh(NumWorkers, Opts.ShardCountLog2);
     const bool LockFree = Opts.Visited == VisitedImpl::LockFree;
-    if (Opts.CompressVisited) {
+    if (Opts.BitstateLog2) {
+      allocBitstate(Sh, Opts.BitstateLog2);
+      Sh.BitstateLog2.store(Opts.BitstateLog2, std::memory_order_relaxed);
+    } else if (Opts.CompressVisited) {
       if (LockFree)
         Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
             P.numThreads() + memComponentCount(Mem),
@@ -295,25 +313,23 @@ public:
       Sh.Workers[0]->Deque.push(std::move(Init));
     }
 
-    // Effective wall-clock limit: the tighter of MaxSeconds and the
-    // resilience deadline. The latter counts wall time already spent
-    // before a resume (SecondsBase), so a resumed run inherits the
-    // remaining budget, not a fresh one.
-    double Limit = Opts.MaxSeconds > 0 ? Opts.MaxSeconds : 0;
-    if (RO.DeadlineSeconds > 0) {
-      double Left = RO.DeadlineSeconds - SecondsBase;
-      if (Left < 0)
-        Left = 0;
-      if (Limit <= 0 || Left < Limit) {
-        Limit = Left;
-        Sh.DeadlineFromResilience = true;
-      }
-    }
-    Sh.HasDeadline = Opts.MaxSeconds > 0 || RO.DeadlineSeconds > 0;
+    // The deadline counts wall time already spent before a resume
+    // (SecondsBase), so a resumed run inherits the remaining budget, not
+    // a fresh one.
+    Sh.HasDeadline = RO.DeadlineSeconds > 0;
     if (Sh.HasDeadline)
-      Sh.Deadline = Start + std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(Limit));
+      Sh.Deadline =
+          Start + std::chrono::duration_cast<
+                      std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(std::max(
+                          0.0, RO.DeadlineSeconds - SecondsBase)));
+    // Counted governor ticks: every 256 expansions per worker while a
+    // memory budget is set, and at the checkpoint cadence when
+    // checkpoints are pinned to expansion counts.
+    if (RO.CheckpointEveryExpansions && ckptActive())
+      Sh.TickEvery = std::min<uint64_t>(256, RO.CheckpointEveryExpansions);
+    else if (RO.MemBudgetBytes)
+      Sh.TickEvery = 256;
 
     std::vector<std::thread> Threads;
     if (Ready) {
@@ -335,7 +351,7 @@ public:
     if (Sh.BitstateLog2.load(std::memory_order_relaxed)) {
       Res.Stats.VisitedBytes = Sh.BitstateWords * sizeof(uint64_t);
       Res.Stats.VisitedRawBytes =
-          Sh.RawBytesAtDowngrade.load(std::memory_order_relaxed);
+          Sh.BitstateRawBytes.load(std::memory_order_relaxed);
       Res.Approximate = true;
     } else if (Sh.LfInterner) {
       Res.Stats.VisitedBytes = Sh.LfInterner->bytesUsed();
@@ -355,8 +371,7 @@ public:
                  Base.PeakFrontier);
     Res.Stats.Truncated = Sh.Bounded.load(std::memory_order_relaxed);
     Res.TimedOut = Sh.TimedOut.load(std::memory_order_relaxed);
-    if (Res.TimedOut && Sh.DeadlineFromResilience)
-      RR.DeadlineHit = true;
+    RR.DeadlineHit = Res.TimedOut;
     Res.Stats.NumTransitions = Base.Transitions;
     Res.Stats.NumDeadlockStates = Base.Deadlocks;
     Res.Stats.DedupHits = Base.DedupHits;
@@ -378,8 +393,13 @@ public:
                                    : resilience::StorageRung::Exact;
 
     // A truncated run leaves a final checkpoint so --resume can pick up
-    // exactly here (workers have joined: direct access is safe).
-    if (Res.Stats.Truncated && ckptActive() && RR.ResumeError.empty())
+    // exactly here (workers have joined: direct access is safe). A
+    // violation stop may have abandoned a popped state and a full table
+    // drops states, so neither leaves a resumable cut.
+    if (Res.Stats.Truncated && ckptActive() && RR.ResumeError.empty() &&
+        !Sh.LostStates.load(std::memory_order_relaxed) &&
+        !(Opts.StopOnViolation &&
+          Sh.ViolationFound.load(std::memory_order_relaxed)))
       writeCheckpoint(Sh, Res, /*PauseWorkers=*/false);
     // The initial state is interned on this thread before workers start;
     // everything else was flushed per worker in workerMain.
@@ -512,35 +532,45 @@ private:
     std::atomic<uint64_t> PeakFrontier{0};
     std::atomic<bool> Bounded{false};
     std::atomic<bool> TimedOut{false};
+    /// Set with the first recorded violation; under StopOnViolation it
+    /// lets workers abandon the state they are expanding.
+    std::atomic<bool> ViolationFound{false};
+    /// A full lock-free table dropped a state: the frontier is no longer
+    /// a resumable cut.
+    std::atomic<bool> LostStates{false};
     std::mutex ViolM;
     std::vector<Violation> RawViolations;
     std::chrono::steady_clock::time_point Deadline;
     bool HasDeadline = false;
-    /// True when the resilience deadline (not MaxSeconds) is the binding
-    /// wall-clock limit, for DeadlineHit attribution.
-    bool DeadlineFromResilience = false;
+    /// Per-worker expansion count between counted governor ticks (0 =
+    /// timer ticks only).
+    uint64_t TickEvery = 0;
 
     // Pause-the-world barrier (checkpoints, storage downgrades). The
     // management thread sets PauseRequested and waits on ParkedCv until
     // every still-active worker is parked in parkAtBarrier; parked
     // workers hold no popped state, so the deques then contain exactly
-    // the unexpanded frontier — a consistent cut.
+    // the unexpanded frontier — a consistent cut. Between ticks the
+    // management thread also sleeps on ParkedCv, so worker exits and
+    // counted ticks wake it at once.
     std::atomic<bool> PauseRequested{false};
     std::mutex PauseM;
     std::condition_variable PauseCv;  ///< Workers wait here for resume.
     std::condition_variable ParkedCv; ///< Management waits for parks/exits.
     unsigned ParkedCount = 0;         ///< Guarded by PauseM.
+    uint64_t TicksRequested = 0;      ///< Guarded by PauseM.
+    uint64_t TicksDone = 0;           ///< Guarded by PauseM.
     std::atomic<unsigned> ActiveWorkers{0};
 
-    // Degraded visited storage (governor downgrade): nonzero BitstateLog2
-    // routes markVisited to the shared atomic bit array (fetch_or double
-    // bits — same scheme as the sequential engine).
+    // Bitstate rung (BitstateLog2 option or governor downgrade): nonzero
+    // BitstateLog2 routes markVisited to the shared atomic bit array
+    // (fetch_or double bits).
     std::atomic<unsigned> BitstateLog2{0};
     std::unique_ptr<std::atomic<uint64_t>[]> Bitstate;
     uint64_t BitstateWords = 0;
-    /// Raw-key byte estimate carried over from the exact set at downgrade
-    /// time (per-insert accounting stops there).
-    std::atomic<uint64_t> RawBytesAtDowngrade{0};
+    /// Raw-key byte estimate on the bitstate rung: the exact set's at
+    /// downgrade time plus every state inserted since.
+    std::atomic<uint64_t> BitstateRawBytes{0};
   };
 
   static void atomicMax(std::atomic<uint64_t> &A, uint64_t V) {
@@ -610,8 +640,16 @@ private:
     Sh.PauseCv.notify_all();
   }
 
-  /// Double-bit bitstate insert (same scheme as the sequential engine so
-  /// checkpoints interoperate). Returns true iff at least one bit was
+  /// Allocates a zeroed 2^K-bit array for the bitstate rung.
+  static void allocBitstate(Shared &Sh, unsigned K) {
+    Sh.BitstateWords = (1ull << K) / 64;
+    Sh.Bitstate =
+        std::make_unique<std::atomic<uint64_t>[]>(Sh.BitstateWords);
+    for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
+      Sh.Bitstate[I].store(0, std::memory_order_relaxed);
+  }
+
+  /// Double-bit bitstate insert. Returns true iff at least one bit was
   /// previously clear, i.e. the state is (probably) new.
   static bool bitstateInsert(Shared &Sh, unsigned K,
                              const std::string &Key) {
@@ -654,43 +692,39 @@ private:
                .count();
   }
 
-  /// Governor downgrade, parallel flavor. The parallel engine stores no
-  /// expanded payloads (states move out of the deques on expansion), so
-  /// the NoPayload rung is vacuous here: pressure goes straight from
-  /// Exact to Bitstate. Runs under a world pause; seeds the bit array
-  /// from the exact set, then frees it.
+  /// Governor downgrade. The engine stores no expanded payloads (states
+  /// move out of the deques on expansion), so the NoPayload rung is
+  /// vacuous here: pressure goes straight from Exact to Bitstate. Runs
+  /// under a world pause; seeds the bit array from the exact set, then
+  /// frees it.
   void downgradeToBitstate(Shared &Sh, ParExploreResult &Res,
                            uint64_t UsedBytes) {
     auto &RR = Res.Stats.Resilience;
     pauseWorld(Sh);
     unsigned K =
         resilience::bitstateLog2ForBudget(Opts.Resilience.MemBudgetBytes);
-    Sh.BitstateWords = (1ull << K) / 64;
-    Sh.Bitstate = std::make_unique<std::atomic<uint64_t>[]>(
-        Sh.BitstateWords);
-    for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
-      Sh.Bitstate[I].store(0, std::memory_order_relaxed);
+    allocBitstate(Sh, K);
     auto Seed = [&](const std::string &Key) {
       bitstateInsert(Sh, K, Key);
     };
     if (Sh.LfInterner) {
-      Sh.RawBytesAtDowngrade.store(Sh.LfInterner->rawBytes(),
-                                   std::memory_order_relaxed);
+      Sh.BitstateRawBytes.store(Sh.LfInterner->rawBytes(),
+                                std::memory_order_relaxed);
       Sh.LfInterner->forEachRawKey(SlotOrder, Seed);
       Sh.LfInterner.reset();
     } else if (Sh.Interner) {
-      Sh.RawBytesAtDowngrade.store(Sh.Interner->rawBytes(),
-                                   std::memory_order_relaxed);
+      Sh.BitstateRawBytes.store(Sh.Interner->rawBytes(),
+                                std::memory_order_relaxed);
       Sh.Interner->forEachRawKey(SlotOrder, Seed);
       Sh.Interner.reset();
     } else if (Sh.LfSet) {
-      Sh.RawBytesAtDowngrade.store(Sh.LfSet->bytesUsed(),
-                                   std::memory_order_relaxed);
+      Sh.BitstateRawBytes.store(Sh.LfSet->bytesUsed(),
+                                std::memory_order_relaxed);
       Sh.LfSet->forEach(Seed);
       Sh.LfSet.reset();
     } else {
-      Sh.RawBytesAtDowngrade.store(Sh.Visited.bytesUsed(),
-                                   std::memory_order_relaxed);
+      Sh.BitstateRawBytes.store(Sh.Visited.bytesUsed(),
+                                std::memory_order_relaxed);
       Sh.Visited.forEach(Seed);
       Sh.Visited.clear();
     }
@@ -710,6 +744,22 @@ private:
         obs::TraceInstant::Downgrade,
         static_cast<uint64_t>(resilience::StorageRung::Bitstate));
     resumeWorld(Sh);
+  }
+
+  /// True when a lock-free table passed 1/2 load and can still grow. The
+  /// tables start small and rely on the governor to grow them ahead of
+  /// full(): workers check this every 256 expansions and request a tick,
+  /// leaving ~3/8 of the capacity as headroom for the wake-up. Workers
+  /// may read the table pointers unlocked: growLockFree swaps them only
+  /// while every worker is parked.
+  static bool growthDue(const Shared &Sh) {
+    if (Sh.BitstateLog2.load(std::memory_order_relaxed))
+      return false;
+    if (Sh.LfInterner)
+      return Sh.LfInterner->wantsGrowth() &&
+             Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2;
+    return Sh.LfSet && Sh.LfSet->wantsGrowth() &&
+           Sh.LfSet->log2() < MaxLockFreeRootLog2;
   }
 
   /// Grows the lock-free visited tier by rebuilding it 4x larger under a
@@ -752,34 +802,47 @@ private:
     resumeWorld(Sh);
   }
 
+  /// Wakes the management thread for a tick and waits until it has run,
+  /// so a tick due at an expansion count is taken there. The caller holds
+  /// no popped state and counts as parked meanwhile, so the tick may pause
+  /// the world.
+  static void requestTick(Shared &Sh) {
+    std::unique_lock<std::mutex> L(Sh.PauseM);
+    uint64_t Seq = ++Sh.TicksRequested;
+    ++Sh.ParkedCount;
+    Sh.ParkedCv.notify_all();
+    Sh.PauseCv.wait(L, [&Sh, Seq] { return Sh.TicksDone >= Seq; });
+    --Sh.ParkedCount;
+  }
+
   /// Management loop run by the main thread while workers explore:
   /// cooperative stop (SIGINT/SIGTERM), stuck-worker watchdog, memory
-  /// governor, and periodic checkpoints. Returns when all workers exit.
+  /// governor, lock-free table growth, and periodic checkpoints. One
+  /// cadence: a tick every 10 ms, plus the counted ticks workers request
+  /// (see Shared::TickEvery). Returns as soon as the last worker exits.
   void manage(Shared &Sh, ParExploreResult &Res) {
     auto &RR = Res.Stats.Resilience;
     const resilience::ResilienceOptions &RO = Opts.Resilience;
     const bool CkptOn = ckptActive();
-    // The lock-free tables start small and rely on this loop to grow
-    // them ahead of full(), so their presence is a duty: poll at the
-    // fast cadence (wantsGrowth at 1/2 load leaves ~3/8 capacity of
-    // headroom against the fill rate between polls).
-    const bool GrowOn = Sh.LfInterner || Sh.LfSet;
-    const bool AnyDuty = CkptOn || GrowOn || RO.MemBudgetBytes != 0 ||
-                         RO.WatchdogSeconds > 0;
     auto LastCkptT = std::chrono::steady_clock::now();
-    uint64_t NextCkptExp = Base.Expanded + RO.CheckpointEveryExpansions;
+    uint64_t NextCkptExp = RO.CheckpointEveryExpansions;
     uint64_t WatchExpanded = ~0ull;
     auto WatchT = LastCkptT;
-    while (Sh.ActiveWorkers.load(std::memory_order_acquire) != 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(AnyDuty ? 10 : 50));
+    // The first tick runs at once, so a stop request that is already
+    // pending drains the run right away.
+    for (;;) {
+      uint64_t Ticks;
+      {
+        std::lock_guard<std::mutex> L(Sh.PauseM);
+        Ticks = Sh.TicksRequested;
+      }
       if (resilience::stopRequested() && !RR.Interrupted) {
         RR.Interrupted = true;
         Sh.Bounded.store(true, std::memory_order_relaxed);
         Sh.TB.requestStop();
         if (obs::traceActive()) {
           obs::traceInstant(obs::TraceInstant::StopDrain);
-          obs::traceCrashDump("signal drain (parallel engine)");
+          obs::traceCrashDump("signal drain (exploration engine)");
         }
       }
       uint64_t Total = totalExpanded(Sh);
@@ -815,20 +878,11 @@ private:
           }
         }
       }
-      if (GrowOn && !Sh.TB.stopped() &&
-          Sh.BitstateLog2.load(std::memory_order_relaxed) == 0) {
-        bool Wants =
-            Sh.LfInterner
-                ? (Sh.LfInterner->wantsGrowth() &&
-                   Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2)
-                : (Sh.LfSet && Sh.LfSet->wantsGrowth() &&
-                   Sh.LfSet->log2() < MaxLockFreeRootLog2);
-        if (Wants) {
-          growLockFree(Sh);
-          // The pause stalls expansion; don't let it trip the watchdog.
-          WatchT = std::chrono::steady_clock::now();
-          WatchExpanded = totalExpanded(Sh);
-        }
+      if (!Sh.TB.stopped() && growthDue(Sh)) {
+        growLockFree(Sh);
+        // The pause stalls expansion; don't let it trip the watchdog.
+        WatchT = std::chrono::steady_clock::now();
+        WatchExpanded = totalExpanded(Sh);
       }
       if (RO.MemBudgetBytes != 0 && !Sh.TB.stopped()) {
         uint64_t Used = governedBytes(Sh);
@@ -859,14 +913,22 @@ private:
           WatchExpanded = totalExpanded(Sh);
         }
       }
+      std::unique_lock<std::mutex> L(Sh.PauseM);
+      Sh.TicksDone = Ticks;
+      Sh.PauseCv.notify_all();
+      Sh.ParkedCv.wait_for(L, std::chrono::milliseconds(10), [&Sh] {
+        return Sh.TicksRequested != Sh.TicksDone ||
+               Sh.ActiveWorkers.load(std::memory_order_acquire) == 0;
+      });
+      if (Sh.ActiveWorkers.load(std::memory_order_acquire) == 0)
+        break;
     }
   }
 
   //===------------------------------------------------------------------===//
-  // Checkpoint/resume. Payload layout mirrors the sequential engine where
-  // the fields coincide, but the engine byte (1) keeps the two formats
-  // from being cross-loaded: the frontier here is a bag of deque
-  // contents, not a slice of a state array.
+  // Checkpoint/resume. The payload opens with engine byte 1; byte 0 was
+  // the retired sequential engine's format (a slice of a state array, not
+  // a bag of deque contents), which is rejected on resume.
   //===------------------------------------------------------------------===//
 
   /// Hash of everything that must match for a checkpoint to be resumable.
@@ -876,6 +938,7 @@ private:
     std::string S = toString(P);
     S += "|engine=par";
     S += "|compress=" + std::to_string(Opts.CompressVisited);
+    S += "|bitstate=" + std::to_string(Opts.BitstateLog2);
     S += "|stoponviol=" + std::to_string(Opts.StopOnViolation);
     S += "|asserts=" + std::to_string(Opts.CheckAssertions);
     S += "|races=" + std::to_string(Opts.CheckRaces);
@@ -981,7 +1044,7 @@ private:
       }
       if (K) {
         W.u8(2);
-        W.u64(Sh.RawBytesAtDowngrade.load(std::memory_order_relaxed));
+        W.u64(Sh.BitstateRawBytes.load(std::memory_order_relaxed));
         W.u64(Sh.BitstateWords);
         for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
           W.u64(Sh.Bitstate[I].load(std::memory_order_relaxed));
@@ -1010,7 +1073,6 @@ private:
       for (const std::unique_ptr<WorkerSlot> &WS : Sh.Workers)
         WS->Deque.forEach(
             [&](const ProductState &S) { encodeProductState(W, S); });
-      fi::maybeKill("ckpt.midwrite");
       if (PauseWorkers)
         resumeWorld(Sh);
       // The (potentially slow) file write happens outside the pause.
@@ -1100,7 +1162,7 @@ private:
         Sh.Interner.reset();
         Sh.LfInterner.reset();
         Sh.LfSet.reset();
-        Sh.RawBytesAtDowngrade.store(R.u64(), std::memory_order_relaxed);
+        Sh.BitstateRawBytes.store(R.u64(), std::memory_order_relaxed);
         uint64_t Words = R.u64();
         if (R.fail() || Words != (1ull << K) / 64 ||
             Words > Payload->size() / 8 + 1) {
@@ -1170,6 +1232,13 @@ private:
         return false;
       }
       uint64_t NumFrontier = R.u64();
+      // Every visited state is either expanded or on the frontier; a
+      // checkpoint that breaks this would resume into a partial sweep.
+      if (R.fail() || NStates != Base.Expanded + NumFrontier) {
+        RR.ResumeError = "corrupt checkpoint: visited states are not "
+                         "expanded + frontier";
+        return false;
+      }
       for (uint64_t I = 0; I != NumFrontier && !R.fail(); ++I) {
         ProductState S;
         if (!decodeProductState(R, S)) {
@@ -1197,6 +1266,7 @@ private:
   /// drops the state from exploration, which is sound for a truncated
   /// run; it is never reported as a duplicate of anything.
   static bool tableFull(Shared &Sh) {
+    Sh.LostStates.store(true, std::memory_order_relaxed);
     Sh.Bounded.store(true, std::memory_order_relaxed);
     Sh.TB.requestStop();
     return false;
@@ -1344,8 +1414,8 @@ private:
           W.TupleBuf[Slot] = Id;
         }
         bool New = Ok && In.insertTuple(W.TupleBuf.data(), H,
-                                        stringNodeBytes(RawLen, 0), St,
-                                        W.TreeScratch);
+                                        LockFreeStateSet::entryBytes(RawLen),
+                                        St, W.TreeScratch);
         flushProbeStats(W, St);
         if (!New && (!Ok || In.full()))
           return tableFull(Sh);
@@ -1373,11 +1443,20 @@ private:
     bool New =
         Ok && In.insertTuple(W.TupleBuf.data(),
                              zobristTuple(W.TupleBuf.data(), NumEmit),
-                             stringNodeBytes(RawLen, 0), St, W.TreeScratch);
+                             LockFreeStateSet::entryBytes(RawLen), St,
+                             W.TreeScratch);
     flushProbeStats(W, St);
     if (!New && (!Ok || In.full()))
       return tableFull(Sh);
     return New;
+  }
+
+  /// Bytes the configured tier's uncompressed set holds per key of \p Len
+  /// bytes: the raw-key cost model behind VisitedRawBytes.
+  uint64_t rawKeyBytes(size_t Len) const {
+    return Opts.Visited == VisitedImpl::LockFree
+               ? LockFreeStateSet::entryBytes(Len)
+               : stringNodeBytes(Len, 0);
   }
 
   /// Dedups \p S against the active visited representation; returns true
@@ -1387,8 +1466,14 @@ private:
   bool markVisited(Shared &Sh, const ProductState &S, WorkerSlot &W,
                    uint64_t Dirty = ~uint64_t{0}) const {
     obs::Span Sp(obs::Phase::VisitedProbe);
-    if (unsigned K = Sh.BitstateLog2.load(std::memory_order_acquire))
-      return bitstateInsert(Sh, K, productStateKey(Mem, S.Threads, S.M));
+    if (unsigned K = Sh.BitstateLog2.load(std::memory_order_acquire)) {
+      std::string Key = productStateKey(Mem, S.Threads, S.M);
+      if (!bitstateInsert(Sh, K, Key))
+        return false;
+      Sh.BitstateRawBytes.fetch_add(rawKeyBytes(Key.size()),
+                                    std::memory_order_relaxed);
+      return true;
+    }
     if (Sh.LfInterner)
       return lockFreeIntern(Sh, S, W, Dirty);
     if (Sh.Interner) {
@@ -1428,6 +1513,7 @@ private:
       std::lock_guard<std::mutex> L(Sh.ViolM);
       Sh.RawViolations.push_back(std::move(V));
     }
+    Sh.ViolationFound.store(true, std::memory_order_relaxed);
     if (Opts.StopOnViolation)
       Sh.TB.requestStop();
   }
@@ -1530,6 +1616,9 @@ private:
       fi::maybeKill("explore.expand");
       if ((E & 255) == 0)
         publishProgress(Sh, W, Me);
+      if ((Sh.TickEvery && E % Sh.TickEvery == 0) ||
+          ((E & 255) == 0 && growthDue(Sh)))
+        requestTick(Sh);
       if (Sh.HasDeadline && (E & 63) == 0 &&
           std::chrono::steady_clock::now() > Sh.Deadline) {
         Sh.TimedOut.store(true, std::memory_order_relaxed);
@@ -1691,10 +1780,10 @@ private:
   }
 
   /// Ample-chain fast-forwarding before interning — identical walk to
-  /// ProductExplorer::fastForward, so all workers and the sequential
-  /// engine store the same endpoint set. Trace-recording runs store
-  /// every reduced state (the sequential replay mirrors that via
-  /// RecordParents), keeping state counts equal under identical options.
+  /// ProductExplorer::fastForward, so all workers and the BFS reference
+  /// store the same endpoint set. Trace-recording runs store every
+  /// reduced state (the BFS replay mirrors that via RecordParents),
+  /// keeping state counts equal under identical options.
   template <typename AccessHook>
   ProductState fastForward(ProductState &&S, Shared &Sh, WorkerSlot &W,
                            AccessHook &AHook, uint64_t &Dirty) {
@@ -1788,7 +1877,7 @@ private:
 
     // Ample-set POR, exactly as in ProductExplorer::expand: selection is
     // a pure function of the state (no visited-set or order dependence),
-    // so all workers — and the sequential replay — reduce to the same
+    // so all workers — and the BFS replay — reduce to the same
     // state graph. In non-trace runs fastForward keeps ample states out
     // of the visited set entirely, so this block fires only in trace
     // mode (and on the contract-breach fallback).
@@ -1829,7 +1918,7 @@ private:
         Next.Threads[T] = Step.Next;
         if (Opts.CollapseLocalSteps) {
           // Follow the deterministic ε-chain (bounded, as in the
-          // sequential engine, in case of a local-only infinite loop).
+          // BFS reference, in case of a local-only infinite loop).
           unsigned Collapsed = 1;
           while (Collapsed < 4096) {
             ThreadStep More = inspectThread(P, static_cast<ThreadId>(T),
@@ -1902,12 +1991,16 @@ private:
       }
       }
       // Chain walks can record violations mid-enumeration; stop
-      // generating siblings once the run is over.
-      if (Sh.TB.stopped())
+      // generating siblings once a violation ends the run. Every other
+      // stop (state budget, deadline, signal, watchdog) lets the state
+      // finish, so the deques stay a consistent cut for the final
+      // checkpoint.
+      if (Opts.StopOnViolation &&
+          Sh.ViolationFound.load(std::memory_order_relaxed))
         return;
     }
 
-    // Definition 6.1 race check, as in the sequential engine.
+    // Definition 6.1 race check, as in the BFS reference.
     if (Opts.CheckRaces) {
       for (unsigned I = 0; I != NaAccesses.size(); ++I) {
         for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
@@ -1951,24 +2044,21 @@ private:
       ++W.Deadlocks;
   }
 
-  /// Deterministic violation reporting: re-run the sequential BFS engine
-  /// under the same semantic options; its violations, trace, and report
-  /// replace the racy parallel findings byte-for-byte.
+  /// Deterministic violation reporting: re-run the BFS reference under
+  /// the same semantic options; its violations, trace, and report replace
+  /// the racy worker findings byte-for-byte.
   template <typename AccessHook>
   void replay(ParExploreResult &Res, AccessHook &AHook) {
     ExploreOptions EO;
     EO.MaxStates = Opts.MaxStates;
-    EO.Order = SearchOrder::BFS;
     EO.RecordParents = Opts.RecordTrace;
     EO.StopOnViolation = Opts.StopOnViolation;
     EO.CheckAssertions = Opts.CheckAssertions;
     EO.CheckRaces = Opts.CheckRaces;
     EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-    EO.CompressVisited = Opts.CompressVisited;
     // Same reduction in the replay, so it traverses the identical
     // reduced graph and its violations/traces match what was found.
     EO.UsePor = Opts.UsePor;
-    EO.TelemetryPhase = obs::Phase::Replay;
     obs::add(obs::Ctr::ReplayRuns);
     ProductExplorer<MemSys> Seq(P, Mem, EO);
     ExploreResult SR = Seq.runWithHook(AHook);

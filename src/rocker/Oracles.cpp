@@ -9,42 +9,26 @@
 #include "obs/Telemetry.h"
 #include "parexplore/ParallelExplorer.h"
 
-#include <chrono>
-
 using namespace rocker;
 
 namespace {
 
-/// Collects reachable program-state projections under a memory subsystem,
-/// on the engine selected by \p Threads (identical sets either way).
+/// Collects reachable program-state projections under a memory subsystem
+/// with \p Threads workers (identical sets at every worker count).
 /// Visited-set compression is left at its default (on unless
 /// ROCKER_NO_COMPRESS is set): it is exact, so oracle verdicts do not
 /// depend on it.
 template <typename MemSys>
-ExploreResult collectProgramStates(const Program &P, const MemSys &Mem,
-                                   uint64_t MaxStates, unsigned Threads) {
-  if (Threads > 1) {
-    ParExploreOptions PE;
-    PE.Threads = Threads;
-    PE.MaxStates = MaxStates;
-    PE.StopOnViolation = false;
-    PE.CheckAssertions = false;
-    PE.CollectProgramStates = true;
-    PE.RecordTrace = false;
-    ParallelExplorer<MemSys> Ex(P, Mem, PE);
-    ParExploreResult R = Ex.run();
-    ExploreResult Out;
-    Out.Stats = std::move(R.Stats);
-    Out.ProgramStates = std::move(R.ProgramStates);
-    return Out;
-  }
-  ExploreOptions EO;
-  EO.MaxStates = MaxStates;
-  EO.RecordParents = false;
-  EO.StopOnViolation = false;
-  EO.CheckAssertions = false;
-  EO.CollectProgramStates = true;
-  ProductExplorer<MemSys> Ex(P, Mem, EO);
+ParExploreResult collectProgramStates(const Program &P, const MemSys &Mem,
+                                      uint64_t MaxStates, unsigned Threads) {
+  ParExploreOptions PE;
+  PE.Threads = Threads;
+  PE.MaxStates = MaxStates;
+  PE.StopOnViolation = false;
+  PE.CheckAssertions = false;
+  PE.CollectProgramStates = true;
+  PE.RecordTrace = false;
+  ParallelExplorer<MemSys> Ex(P, Mem, PE);
   return Ex.run();
 }
 
@@ -68,80 +52,36 @@ OracleResult rocker::checkGraphRobustnessOracle(const Program &P,
     return std::nullopt;
   };
 
-  if (Threads > 1) {
-    // Parallel path: check SC-consistency of each graph as it is
-    // discovered (the engine keeps no state store to sweep afterwards).
-    ParExploreOptions PE;
-    PE.Threads = Threads;
-    PE.MaxStates = MaxStates;
-    PE.StopOnViolation = true;
-    PE.CheckAssertions = false;
-    PE.RecordTrace = false;
-    PE.ReplayOnViolation = false; // Verdict + detail suffice here.
-    ParallelExplorer<RAGraphMem> Ex(P, Mem, PE);
-    ParExploreResult R = Ex.runWithHooks(
-        AccessHook, [&](const auto &S) -> std::optional<Violation> {
-          obs::Span Sp(obs::Phase::OracleSweep);
-          obs::add(obs::Ctr::SweptStates);
-          if (isSCConsistent(S.M))
-            return std::nullopt;
-          Violation V;
-          V.K = Violation::Kind::MemoryViolation;
-          V.Detail = "reachable RAG graph is not SC-consistent:\n" +
-                     S.M.toString(&P);
-          return V;
-        });
-    OracleResult Res;
-    Res.Complete = !R.Stats.Truncated;
-    Res.Stats = std::move(R.Stats);
-    Res.Robust = R.Violations.empty();
-    if (!Res.Robust)
-      Res.Detail = R.Violations.front().Detail;
-    return Res;
-  }
-
-  ExploreOptions EO;
-  EO.MaxStates = MaxStates;
-  EO.RecordParents = false;
-  EO.StopOnViolation = true;
-  EO.CheckAssertions = false;
-
-  ProductExplorer<RAGraphMem> Ex(P, Mem, EO);
-  // Hook: every pending access lets us check the RAG+NA ⊥ transition; the
-  // SC-consistency of every *reached* graph is checked by the sweep below
-  // (every reached ⟨q,G⟩ must be reachable in PSCG, i.e. G must be
-  // SC-consistent; Lemma A.11).
-  auto SweepStart = std::chrono::steady_clock::now();
-  ExploreResult R = Ex.runWithHook(AccessHook);
-
+  // Every pending access lets the access hook check the RAG+NA ⊥
+  // transition; the state hook checks that every *reached* graph is
+  // SC-consistent as it is discovered (every reached ⟨q,G⟩ must be
+  // reachable in PSCG; Lemma A.11).
+  ParExploreOptions PE;
+  PE.Threads = Threads;
+  PE.MaxStates = MaxStates;
+  PE.StopOnViolation = true;
+  PE.CheckAssertions = false;
+  PE.RecordTrace = false;
+  PE.ReplayOnViolation = false; // Verdict + detail suffice here.
+  ParallelExplorer<RAGraphMem> Ex(P, Mem, PE);
+  ParExploreResult R = Ex.runWithHooks(
+      AccessHook, [&](const auto &S) -> std::optional<Violation> {
+        obs::Span Sp(obs::Phase::OracleSweep);
+        obs::add(obs::Ctr::SweptStates);
+        if (isSCConsistent(S.M))
+          return std::nullopt;
+        Violation V;
+        V.K = Violation::Kind::MemoryViolation;
+        V.Detail = "reachable RAG graph is not SC-consistent:\n" +
+                   S.M.toString(&P);
+        return V;
+      });
   OracleResult Res;
   Res.Complete = !R.Stats.Truncated;
-  Res.Stats = R.Stats;
-  if (!R.Violations.empty()) {
-    Res.Robust = false;
+  Res.Stats = std::move(R.Stats);
+  Res.Robust = R.Violations.empty();
+  if (!Res.Robust)
     Res.Detail = R.Violations.front().Detail;
-    return Res;
-  }
-  // Sweep all stored graphs for SC-consistency. The sweep is part of the
-  // verification, so its time counts toward the engine-reported Seconds.
-  Res.Robust = true;
-  {
-    obs::Span Sp(obs::Phase::OracleSweep);
-    uint64_t Swept = 0;
-    for (uint64_t Id = 0; Id != Ex.numStates(); ++Id) {
-      ++Swept;
-      if (!isSCConsistent(Ex.state(Id).M)) {
-        Res.Robust = false;
-        Res.Detail = "reachable RAG graph is not SC-consistent:\n" +
-                     Ex.state(Id).M.toString(&P);
-        break;
-      }
-    }
-    obs::add(obs::Ctr::SweptStates, Swept);
-  }
-  Res.Stats.Seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - SweepStart)
-                          .count();
   return Res;
 }
 
@@ -150,8 +90,8 @@ OracleResult rocker::checkStateRobustnessOracle(const Program &P,
                                                 unsigned Threads) {
   RAMachine RA(P);
   SCMemory SC(P);
-  ExploreResult RRa = collectProgramStates(P, RA, MaxStates, Threads);
-  ExploreResult RSc = collectProgramStates(P, SC, MaxStates, Threads);
+  ParExploreResult RRa = collectProgramStates(P, RA, MaxStates, Threads);
+  ParExploreResult RSc = collectProgramStates(P, SC, MaxStates, Threads);
 
   OracleResult Res;
   Res.Complete = !RRa.Stats.Truncated && !RSc.Stats.Truncated;
@@ -177,8 +117,8 @@ std::optional<bool> rocker::crossCheckRAMachineVsRAG(const Program &P,
                                                      unsigned Threads) {
   RAMachine RA(P);
   RAGraphMem RAG(P, /*NaExtension=*/false);
-  ExploreResult A = collectProgramStates(P, RA, MaxStates, Threads);
-  ExploreResult B = collectProgramStates(P, RAG, MaxStates, Threads);
+  ParExploreResult A = collectProgramStates(P, RA, MaxStates, Threads);
+  ParExploreResult B = collectProgramStates(P, RAG, MaxStates, Threads);
   if (A.Stats.Truncated || B.Stats.Truncated)
     return std::nullopt;
   return A.ProgramStates == B.ProgramStates;
@@ -189,8 +129,8 @@ std::optional<bool> rocker::crossCheckSCVsSCG(const Program &P,
                                               unsigned Threads) {
   SCMemory SC(P);
   SCGraphMem SCG(P);
-  ExploreResult A = collectProgramStates(P, SC, MaxStates, Threads);
-  ExploreResult B = collectProgramStates(P, SCG, MaxStates, Threads);
+  ParExploreResult A = collectProgramStates(P, SC, MaxStates, Threads);
+  ParExploreResult B = collectProgramStates(P, SCG, MaxStates, Threads);
   if (A.Stats.Truncated || B.Stats.Truncated)
     return std::nullopt;
   return A.ProgramStates == B.ProgramStates;
@@ -201,8 +141,8 @@ std::optional<bool> rocker::crossCheckSCSubsetOfRA(const Program &P,
                                                    unsigned Threads) {
   SCMemory SC(P);
   RAMachine RA(P);
-  ExploreResult A = collectProgramStates(P, SC, MaxStates, Threads);
-  ExploreResult B = collectProgramStates(P, RA, MaxStates, Threads);
+  ParExploreResult A = collectProgramStates(P, SC, MaxStates, Threads);
+  ParExploreResult B = collectProgramStates(P, RA, MaxStates, Threads);
   if (A.Stats.Truncated || B.Stats.Truncated)
     return std::nullopt;
   obs::Span Sp(obs::Phase::OracleSweep);

@@ -12,12 +12,12 @@ using namespace rocker;
 
 namespace {
 
-/// Maps RockerOptions onto the parallel engine's options.
+/// Maps RockerOptions onto the exploration engine's options.
 ParExploreOptions parOptions(const RockerOptions &Opts) {
   ParExploreOptions PE;
   PE.Threads = Opts.Threads;
   PE.MaxStates = Opts.MaxStates;
-  PE.MaxSeconds = Opts.MaxSeconds;
+  PE.BitstateLog2 = Opts.BitstateLog2;
   PE.StopOnViolation = Opts.StopOnViolation;
   PE.CheckAssertions = Opts.CheckAssertions;
   PE.CheckRaces = Opts.CheckRaces;
@@ -29,12 +29,6 @@ ParExploreOptions parOptions(const RockerOptions &Opts) {
   PE.UsePor = Opts.UsePor;
   PE.Resilience = Opts.Resilience;
   return PE;
-}
-
-/// True when the request can use the parallel engine (bitstate hashing
-/// exists only in the sequential engine).
-bool useParallel(const RockerOptions &Opts) {
-  return Opts.Threads > 1 && Opts.BitstateLog2 == 0;
 }
 
 RockerReport reportFromParallel(ParExploreResult &&R) {
@@ -50,7 +44,7 @@ RockerReport reportFromParallel(ParExploreResult &&R) {
 }
 
 /// The engine-level check toggles mirrored into the sampler, which runs
-/// the same per-state battery as the exhaustive engines.
+/// the same per-state battery as the exhaustive engine.
 sample::SampleOptions sampleOptions(const RockerOptions &Opts) {
   sample::SampleOptions SO = Opts.Sampling;
   SO.CheckAssertions = Opts.CheckAssertions;
@@ -139,43 +133,8 @@ RockerReport rocker::checkRobustness(const Program &P,
   if (Opts.UseSampling)
     return sampleRobustness(P, Mem, Opts, Hook);
 
-  if (useParallel(Opts)) {
-    ParallelExplorer<SCMonitor> Ex(P, Mem, parOptions(Opts));
-    RockerReport Rep = reportFromParallel(Ex.runWithHook(Hook));
-    if (wantsSampleFallback(Opts, Rep)) {
-      RockerReport SRep = sampleRobustness(P, Mem, Opts, Hook);
-      recordSampleDowngrade(Rep, SRep);
-      return SRep;
-    }
-    return Rep;
-  }
-
-  ExploreOptions EO;
-  EO.MaxStates = Opts.MaxStates;
-  EO.RecordParents = Opts.RecordTrace;
-  EO.StopOnViolation = Opts.StopOnViolation;
-  EO.CheckAssertions = Opts.CheckAssertions;
-  EO.CheckRaces = Opts.CheckRaces;
-  EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-  EO.Order = Opts.Order;
-  EO.BitstateLog2 = Opts.BitstateLog2;
-  EO.CompressVisited = Opts.CompressVisited;
-  EO.UsePor = Opts.UsePor;
-  EO.Resilience = Opts.Resilience;
-
-  ProductExplorer<SCMonitor> Ex(P, Mem, EO);
-  ExploreResult R = Ex.runWithHook(Hook);
-
-  RockerReport Rep;
-  Rep.Complete = !R.Stats.Truncated;
-  Rep.Robust = R.Violations.empty();
-  Rep.Approximate = R.Approximate;
-  Rep.Stats = R.Stats;
-  Rep.Violations = R.Violations;
-  if (!R.Violations.empty()) {
-    Rep.FirstViolationText = Ex.report(R.Violations.front());
-    Rep.FirstViolationTrace = Ex.trace(R.Violations.front());
-  }
+  ParallelExplorer<SCMonitor> Ex(P, Mem, parOptions(Opts));
+  RockerReport Rep = reportFromParallel(Ex.runWithHook(Hook));
   if (wantsSampleFallback(Opts, Rep)) {
     RockerReport SRep = sampleRobustness(P, Mem, Opts, Hook);
     recordSampleDowngrade(Rep, SRep);
@@ -195,34 +154,6 @@ RockerReport rocker::exploreSC(const Program &P, const RockerOptions &Opts) {
     return sampleRobustness(P, Mem, Opts, NoHook);
   }
 
-  if (useParallel(Opts)) {
-    ParallelExplorer<SCMemory> Ex(P, Mem, parOptions(Opts));
-    return reportFromParallel(Ex.run());
-  }
-
-  ExploreOptions EO;
-  EO.MaxStates = Opts.MaxStates;
-  EO.RecordParents = Opts.RecordTrace;
-  EO.StopOnViolation = Opts.StopOnViolation;
-  EO.CheckAssertions = Opts.CheckAssertions;
-  EO.CheckRaces = Opts.CheckRaces;
-  EO.CollapseLocalSteps = Opts.CollapseLocalSteps;
-  EO.Order = Opts.Order;
-  EO.BitstateLog2 = Opts.BitstateLog2;
-  EO.CompressVisited = Opts.CompressVisited;
-  EO.UsePor = Opts.UsePor;
-  EO.Resilience = Opts.Resilience;
-
-  ProductExplorer<SCMemory> Ex(P, Mem, EO);
-  ExploreResult R = Ex.run();
-
-  RockerReport Rep;
-  Rep.Complete = !R.Stats.Truncated;
-  Rep.Robust = R.Violations.empty();
-  Rep.Approximate = R.Approximate;
-  Rep.Stats = R.Stats;
-  Rep.Violations = R.Violations;
-  if (!R.Violations.empty())
-    Rep.FirstViolationText = Ex.report(R.Violations.front());
-  return Rep;
+  ParallelExplorer<SCMemory> Ex(P, Mem, parOptions(Opts));
+  return reportFromParallel(Ex.run());
 }

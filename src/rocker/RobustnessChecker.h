@@ -41,46 +41,39 @@ struct RockerOptions {
   /// Collapse deterministic thread-local step chains (verdict-preserving
   /// exploration reduction; see ExploreOptions::CollapseLocalSteps).
   bool CollapseLocalSteps = false;
-  /// Search order (BFS gives shortest counterexamples; DFS is Spin's
-  /// default and often reaches *a* violation faster).
-  SearchOrder Order = SearchOrder::BFS;
-  /// Spin-style bitstate hashing with 2^k bits when non-zero; "robust"
-  /// results become approximate (see ExploreOptions::BitstateLog2).
+  /// Spin-style bitstate hashing with 2^k bits when non-zero: the run
+  /// starts on the bitstate rung and "robust" results become approximate
+  /// (see ParExploreOptions::BitstateLog2).
   unsigned BitstateLog2 = 0;
-  /// Worker threads. 1 = the sequential engine (default); >1 = the
-  /// work-stealing engine (parexplore/ParallelExplorer.h), which ignores
-  /// Order and falls back to sequential when BitstateLog2 is set.
-  /// Verdicts and full-exploration state counts are identical either way;
-  /// violation traces are reconstructed by a sequential replay, so they
-  /// are byte-identical too.
+  /// Workers of the work-stealing engine (parexplore/ParallelExplorer.h),
+  /// which runs every exhaustive check; 1 (the default) is one worker.
+  /// Verdicts and full-exploration state counts are identical at every
+  /// worker count; violation traces come from the deterministic BFS
+  /// replay, so they are byte-identical too.
   unsigned Threads = 1;
-  /// Wall-clock budget in seconds (parallel engine only; 0 = unlimited).
-  /// Exceeding it yields Complete == false instead of running forever.
-  double MaxSeconds = 0;
   /// Collapse-compressed visited set (exact; identical verdicts, counts,
-  /// and reports — see ExploreOptions::CompressVisited). `rocker_cli
-  /// --no-compress` turns it off.
+  /// and reports). `rocker_cli --no-compress` turns it off.
   bool CompressVisited = defaultCompressVisited();
-  /// Visited-tier implementation for the parallel engine: the lock-free
-  /// CAS-published tables (default) or the striped-lock sharded tier
-  /// (`rocker_cli --visited=striped` / ROCKER_VISITED=striped). Verdicts,
-  /// counts, and traces are identical either way; the sequential engine
-  /// ignores this.
+  /// Visited-tier implementation: the lock-free CAS-published tables
+  /// (default) or the striped-lock sharded tier (`rocker_cli
+  /// --visited=striped` / ROCKER_VISITED=striped). Verdicts, counts, and
+  /// traces are identical either way.
   VisitedImpl Visited = defaultVisitedImpl();
   /// log2 of the lock-free tier's *initial* root-table capacity (0 =
   /// default 2^18). The tables grow automatically (4x rebuild under a
   /// world pause at 1/2 load); a run truncates (Complete == false, like
   /// a MaxStates cut) only at the 2^30 growth ceiling, or if a table
-  /// fills faster than the management thread polls.
+  /// fills before the management thread can grow it.
   unsigned LockFreeLog2 = 0;
   /// Monitor-aware ample-set partial-order reduction (explore/Por.h):
   /// identical verdicts and violation sets with typically far fewer
   /// expanded states. `rocker_cli --no-por` / ROCKER_NO_POR=1 turns it
   /// off (state counts then change, verdicts do not).
   bool UsePor = defaultUsePor();
-  /// Resource budgets, graceful degradation, and checkpoint/resume
-  /// (resilience/Resilience.h). Applied to the top-level product run
-  /// only; internal replays and oracles never checkpoint or degrade.
+  /// Resource budgets (including the wall-clock deadline), graceful
+  /// degradation, and checkpoint/resume (resilience/Resilience.h).
+  /// Applied to the top-level product run only; the trace replay and the
+  /// oracles never checkpoint or degrade.
   resilience::ResilienceOptions Resilience;
   /// Use the sampling engine (sample/Sampler.h) instead of exhaustive
   /// exploration: monitored random-schedule execution with no visited

@@ -85,26 +85,23 @@ bool applyOption(RockerOptions &O, const std::string &Key,
   if (Key == "max_seconds") {
     if (!WantNum())
       return Fail("\"max_seconds\" must be a number");
-    O.MaxSeconds = V.asDouble();
+    O.Resilience.DeadlineSeconds = V.asDouble();
     return true;
   }
-  if (Key == "order") {
-    if (!WantStr() || (V.asString() != "bfs" && V.asString() != "dfs"))
-      return Fail("\"order\" must be \"bfs\" or \"dfs\"");
-    O.Order = V.asString() == "bfs" ? SearchOrder::BFS : SearchOrder::DFS;
-    return true;
-  }
+  if (Key == "order")
+    return Fail("\"order\" was removed: every check runs on the "
+                "work-stealing engine, and traces come from its BFS replay");
   if (Key == "engine") {
     if (!WantStr())
       return Fail("\"engine\" must be a string");
     const std::string &E = V.asString();
     if (E == "sample") {
       O.UseSampling = true;
-    } else if (E == "parallel") {
+    } else if (E == "parallel") { // At least two workers.
       O.UseSampling = false;
       if (O.Threads < 2)
         O.Threads = 2;
-    } else if (E == "sequential") {
+    } else if (E == "sequential") { // One worker.
       O.UseSampling = false;
       O.Threads = 1;
     } else {

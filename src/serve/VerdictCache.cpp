@@ -52,8 +52,6 @@ std::string canonicalOptions(const std::string &Mode,
   Flag("races", O.CheckRaces);
   Flag("stoponviol", O.StopOnViolation);
   Flag("collapse", O.CollapseLocalSteps);
-  S += "|order=";
-  S += O.Order == SearchOrder::BFS ? "bfs" : "dfs";
   Num("maxstates", O.MaxStates);
   Num("bitstate", O.BitstateLog2);
   Flag("compress", O.CompressVisited);
@@ -113,7 +111,7 @@ std::optional<VerdictClass> parseVerdictClass(const std::string &Name) {
 
 std::string cacheKey(const Program &P, const std::string &Mode,
                      const RockerOptions &Opts) {
-  std::string S = "rocker-verdict-key/1|";
+  std::string S = "rocker-verdict-key/2|";
   S += canonicalOptions(Mode, Opts);
   S += "|prog=";
   S += toString(P); // Parser→printer round trip: the normal form.

@@ -49,7 +49,7 @@
 /// turns every probe into a TLB/page miss) and the engine's management
 /// thread rebuilds them 4x larger under its pause-the-world barrier
 /// when any table passes 1/2 load (migrateTo; amortized O(states)
-/// total). When a table nevertheless fills up (load factor 7/8 — e.g.
+/// total), woken by the first worker that sees the load. When a table nevertheless fills up (load factor 7/8 — e.g.
 /// the 2^30 growth ceiling, or a fill rate that outruns the governor's
 /// poll) a sticky full() flag latches and inserts fail; the engine then
 /// marks the run Bounded exactly like a MaxStates cut, so a full table
@@ -71,6 +71,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <optional>
 #include <string>
@@ -79,7 +80,7 @@
 
 namespace rocker {
 
-/// Which visited-set implementation the parallel engine uses.
+/// Which visited-set implementation the exploration engine uses.
 enum class VisitedImpl : uint8_t {
   LockFree, ///< This file: CAS-claimed open-address tables.
   Striped,  ///< support/ShardedSet.h + ShardedStateInterner (mutex stripes).
@@ -140,22 +141,76 @@ struct ProbeStats {
   uint64_t ProbeSteps = 0;
 };
 
+/// Process-wide cache of all-zero word arrays, by size class, for reuse
+/// by the next table of the same size (see WordArray). Bounded to
+/// MaxBytes; guarded by M.
+struct WordPool {
+  static constexpr size_t MaxBytes = size_t{64} << 20;
+  std::mutex M;
+  std::vector<uint64_t *> Free[64];
+  size_t Bytes = 0;
+  ~WordPool() {
+    for (std::vector<uint64_t *> &F : Free)
+      for (uint64_t *W : F)
+        std::free(W);
+  }
+};
+
+inline WordPool &wordPool() {
+  static WordPool P;
+  return P;
+}
+
 /// Fixed array of 2^Log2 atomically-accessed 64-bit words. calloc'd so
 /// the zeroed capacity is lazily mapped: untouched pages stay on the
 /// kernel zero page and RSS grows only with the slots actually written
 /// (a value-initializing new[]/vector would memset — and fault — the
 /// whole array up front).
+///
+/// Slots go from zero to non-zero only through claim() (or restore()),
+/// and claim() logs the first ClaimLogCap slot indices. An array whose
+/// claims were all logged is re-zeroed slot by slot on destruction and
+/// parked in wordPool() for the next array of its size. Many small
+/// checks in one process then skip calloc's memset — which glibc does as
+/// soon as a freed table has raised its mmap threshold, and which cost
+/// every small check about a millisecond — and the page faults of fresh
+/// memory.
 class WordArray {
 public:
   explicit WordArray(unsigned Log2)
-      : Words(static_cast<uint64_t *>(
-            std::calloc(size_t{1} << Log2, sizeof(uint64_t)))),
-        Log2(Log2) {
+      : Log2(Log2), ClaimLog(new uint32_t[ClaimLogCap]) {
+    static_assert(std::atomic_ref<uint64_t>::is_always_lock_free);
+    WordPool &Pool = wordPool();
+    {
+      std::lock_guard<std::mutex> L(Pool.M);
+      std::vector<uint64_t *> &F = Pool.Free[Log2];
+      if (!F.empty()) {
+        Words = F.back();
+        F.pop_back();
+        Pool.Bytes -= bytes();
+      }
+    }
+    if (!Words)
+      Words = static_cast<uint64_t *>(
+          std::calloc(capacity(), sizeof(uint64_t)));
     if (!Words)
       throw std::bad_alloc();
-    static_assert(std::atomic_ref<uint64_t>::is_always_lock_free);
   }
-  ~WordArray() { std::free(Words); }
+  ~WordArray() {
+    uint64_t N = Claims.load(std::memory_order_relaxed);
+    if (Logged && N <= ClaimLogCap) {
+      for (uint64_t I = 0; I != N; ++I)
+        Words[ClaimLog[I]] = 0;
+      WordPool &Pool = wordPool();
+      std::lock_guard<std::mutex> L(Pool.M);
+      if (Pool.Bytes + bytes() <= WordPool::MaxBytes) {
+        Pool.Free[Log2].push_back(Words);
+        Pool.Bytes += bytes();
+        return;
+      }
+    }
+    std::free(Words);
+  }
   WordArray(const WordArray &) = delete;
   WordArray &operator=(const WordArray &) = delete;
 
@@ -165,9 +220,40 @@ public:
     return std::atomic_ref<uint64_t>(Words[I]);
   }
 
+  /// CASes empty slot \p I to \p Desired; on failure \p Expected holds
+  /// the winner's word (acquire), as compare_exchange_strong.
+  bool claim(size_t I, uint64_t &Expected, uint64_t Desired) {
+    if (!at(I).compare_exchange_strong(Expected, Desired,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+      return false;
+    uint64_t N = Claims.fetch_add(1, std::memory_order_relaxed);
+    if (N < ClaimLogCap)
+      ClaimLog[N] = static_cast<uint32_t>(I);
+    return true;
+  }
+
+  /// Occupied slots.
+  uint64_t claims() const { return Claims.load(std::memory_order_relaxed); }
+
+  /// Fills empty slot \p I outside claim() (checkpoint restore; requires
+  /// quiesced writers). The array is then never pooled.
+  void restore(size_t I, uint64_t W) {
+    at(I).store(W, std::memory_order_relaxed);
+    Claims.fetch_add(1, std::memory_order_relaxed);
+    Logged = false;
+  }
+
 private:
-  uint64_t *Words;
+  static constexpr uint64_t ClaimLogCap = 4096;
+
+  size_t bytes() const { return capacity() * sizeof(uint64_t); }
+
+  uint64_t *Words = nullptr;
   unsigned Log2;
+  std::atomic<uint64_t> Claims{0};
+  std::unique_ptr<uint32_t[]> ClaimLog;
+  bool Logged = true;
 };
 
 /// Lock-free bump allocator for StringTable records. Blocks are chained
@@ -250,10 +336,7 @@ public:
         if (overFull())
           break;
         uint64_t Expected = 0;
-        if (Slots.at(Slot).compare_exchange_strong(
-                Expected, Stored, std::memory_order_acq_rel,
-                std::memory_order_acquire)) {
-          Used.fetch_add(1, std::memory_order_relaxed);
+        if (Slots.claim(Slot, Expected, Stored)) {
           WasNew = true;
           return static_cast<uint32_t>(Slot);
         }
@@ -272,7 +355,7 @@ public:
     return Slots.at(Id).load(std::memory_order_acquire) - 1;
   }
 
-  uint64_t used() const { return Used.load(std::memory_order_relaxed); }
+  uint64_t used() const { return Slots.claims(); }
   bool full() const { return Full.load(std::memory_order_relaxed); }
   unsigned log2() const { return Slots.log2(); }
 
@@ -310,20 +393,18 @@ public:
       uint64_t Payload = R.u64();
       if (R.fail() || Id >= Slots.capacity())
         return false;
-      Slots.at(Id).store(Payload + 1, std::memory_order_relaxed);
+      Slots.restore(Id, Payload + 1);
     }
-    Used.store(N, std::memory_order_relaxed);
     return !R.fail();
   }
 
 private:
   bool overFull() const {
     size_t Cap = Slots.capacity();
-    return Used.load(std::memory_order_relaxed) >= Cap - Cap / 8;
+    return Slots.claims() >= Cap - Cap / 8;
   }
 
   WordArray Slots;
-  std::atomic<uint64_t> Used{0};
   std::atomic<bool> Full{false};
 };
 
@@ -353,10 +434,7 @@ public:
         if (!Fresh)
           Fresh = makeRecord(H, Bytes);
         uint64_t Expected = 0;
-        if (Slots.at(Slot).compare_exchange_strong(
-                Expected, reinterpret_cast<uintptr_t>(Fresh),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
-          Used.fetch_add(1, std::memory_order_relaxed);
+        if (Slots.claim(Slot, Expected, reinterpret_cast<uintptr_t>(Fresh))) {
           RecordBytes.fetch_add(sizeof(Record) + Fresh->Len,
                                 std::memory_order_relaxed);
           WasNew = true;
@@ -384,13 +462,19 @@ public:
     return {R->data(), R->Len};
   }
 
-  uint64_t used() const { return Used.load(std::memory_order_relaxed); }
+  uint64_t used() const { return Slots.claims(); }
   bool full() const { return Full.load(std::memory_order_relaxed); }
   unsigned log2() const { return Slots.log2(); }
 
   /// True past 1/2 load — the engine's growth trigger, comfortably ahead
   /// of the 7/8 cap where full() would latch.
   bool wantsGrowth() const { return used() * 2 >= Slots.capacity(); }
+
+  /// Bytes one stored string of \p Len bytes adds to bytesUsed(): its
+  /// slot word plus its record.
+  static uint64_t entryBytes(size_t Len) {
+    return sizeof(uint64_t) + sizeof(Record) + Len;
+  }
 
   /// Slot-word bytes of occupied slots plus record bytes — occupancy, not
   /// capacity, so the memory governor sees what is actually resident.
@@ -439,12 +523,10 @@ public:
       uint64_t H = hashBytes(reinterpret_cast<const uint8_t *>(Bytes.data()),
                              Bytes.size());
       const Record *Rec = makeRecord(H, Bytes);
-      Slots.at(Id).store(reinterpret_cast<uintptr_t>(Rec),
-                         std::memory_order_relaxed);
+      Slots.restore(Id, reinterpret_cast<uintptr_t>(Rec));
       RecordBytes.fetch_add(sizeof(Record) + Rec->Len,
                             std::memory_order_relaxed);
     }
-    Used.store(N, std::memory_order_relaxed);
     return !R.fail();
   }
 
@@ -468,12 +550,11 @@ private:
 
   bool overFull() const {
     size_t Cap = Slots.capacity();
-    return Used.load(std::memory_order_relaxed) >= Cap - Cap / 8;
+    return Slots.claims() >= Cap - Cap / 8;
   }
 
   WordArray Slots;
   RecordArena Arena;
-  std::atomic<uint64_t> Used{0};
   std::atomic<uint64_t> RecordBytes{0};
   std::atomic<bool> Full{false};
 };
@@ -502,6 +583,11 @@ public:
   bool full() const { return Table.full(); }
   uint64_t size() const { return Table.used(); }
   uint64_t bytesUsed() const { return Table.bytesUsed(); }
+  /// Bytes a key of \p Len bytes adds to bytesUsed(); the compressed
+  /// tier's raw-key estimate uses the same cost model.
+  static uint64_t entryBytes(size_t Len) {
+    return lf::StringTable::entryBytes(Len);
+  }
   unsigned log2() const { return Table.log2(); }
   bool wantsGrowth() const { return Table.wantsGrowth(); }
 
@@ -619,7 +705,7 @@ public:
         NewIds[Slot] = New.internComponent(Slot, B, St);
       }
       New.insertTuple(NewIds.data(), zobristTuple(NewIds.data(), N),
-                      stringNodeBytes(RawLen, 0), St, Scratch);
+                      lf::StringTable::entryBytes(RawLen), St, Scratch);
     });
   }
 
@@ -632,7 +718,9 @@ public:
   }
 
   /// Collapses the id tuple and interns the root pair under \p RootHash
-  /// (the tuple's Zobrist hash). Returns true iff the state was new; on
+  /// (the tuple's Zobrist hash), charging \p RawKeyEstimate (the
+  /// raw key's lf::StringTable::entryBytes) to rawBytes() when new.
+  /// Returns true iff the state was new; on
   /// a full node/root table returns false with full() latched. \p
   /// Scratch is caller-provided working space (no allocation on the hot
   /// path; the engine passes a per-worker buffer).

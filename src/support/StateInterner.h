@@ -1,13 +1,12 @@
 //===- support/StateInterner.h - Collapse-compressed visited set -*- C++ -*-===//
 ///
 /// \file
-/// An LTSmin-style collapse-compressed visited set for the exploration
-/// engines. Instead of storing one full serialized byte string per visited
+/// An LTSmin-style collapse-compressed visited set. Instead of storing one full serialized byte string per visited
 /// product state, the state is split into *components* — one ⟨pc, Φ⟩
 /// chunk per thread plus one or more memory-subsystem chunks — and each
 /// component is hash-consed into a per-slot intern table. A visited state
-/// is then only a tuple of 32-bit component ids — and in the sequential
-/// engine that tuple is itself collapsed by LTSmin-style tree
+/// is then only a tuple of 32-bit component ids — and in the single-owner
+/// StateInterner that tuple is itself collapsed by LTSmin-style tree
 /// compression: adjacent ids are interned pairwise, level by level, so a
 /// state is ultimately one entry in the root table (a pair, or a triple
 /// when an odd leftover chunk survives to the end). Successive states
@@ -36,10 +35,11 @@
 /// that slot; the chunk decomposition then induces exactly the same state
 /// equality as the full serialization.
 ///
-/// Two implementations share the format: StateInterner for the sequential
-/// engine (dense tuple ids that double as state ids) and
-/// ShardedStateInterner for the work-stealing engine (striped locks, as
-/// in support/ShardedSet.h).
+/// Two implementations share the format: the single-owner StateInterner
+/// (dense tuple ids; no engine uses it since the sequential engine was
+/// retired, and it stays with its unit tests until one visited tier is
+/// chosen) and ShardedStateInterner, the engine's striped tier (striped
+/// locks, as in support/ShardedSet.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +64,7 @@
 
 namespace rocker {
 
-/// Process-wide default for ExploreOptions/ParExploreOptions::
-/// CompressVisited: on, unless the ROCKER_NO_COMPRESS environment
+/// Process-wide default for ParExploreOptions::CompressVisited: on, unless the ROCKER_NO_COMPRESS environment
 /// variable is set (used by CI to run the whole test suite against the
 /// raw visited set).
 inline bool defaultCompressVisited() {

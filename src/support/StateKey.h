@@ -1,9 +1,9 @@
 //===- support/StateKey.h - Shared state-key serialization -----*- C++ -*-===//
 ///
 /// \file
-/// The one place that defines how explorer state keys are built. Both
-/// exploration engines (explore/Explorer.h, parexplore/ParallelExplorer.h)
-/// and the compressed visited set (support/StateInterner.h) serialize
+/// The one place that defines how explorer state keys are built. The
+/// exploration engine (parexplore/ParallelExplorer.h), its BFS replay
+/// (explore/Explorer.h) and the compressed visited set (support/StateInterner.h) serialize
 /// thread states and program-state projections through these helpers, so
 /// the encodings cannot drift apart — the sequential and parallel engines
 /// previously carried copy-pasted key builders, and both truncated the

@@ -68,42 +68,24 @@ Program rocker::lowerBlockingInstructions(const Program &P) {
 
 namespace {
 
-/// One exploration collecting program-state projections, via the engine
-/// selected by \p Threads. Both engines visit the same reachable set, so
-/// the resulting projection sets are identical.
+/// One exploration collecting program-state projections with
+/// Opts.Threads workers (identical sets at every worker count).
 template <typename MemSys>
-ExploreResult collectStates(const Program &P, const MemSys &Mem,
-                            const TSOOptions &Opts) {
-  if (Opts.Threads > 1) {
-    ParExploreOptions PE;
-    PE.Threads = Opts.Threads;
-    PE.MaxStates = Opts.MaxStates;
-    PE.StopOnViolation = false;
-    PE.CheckAssertions = false;
-    PE.CollectProgramStates = true;
-    PE.RecordTrace = false;
-    PE.CompressVisited = Opts.CompressVisited;
-    PE.Visited = Opts.Visited;
-    PE.LockFreeLog2 = Opts.LockFreeLog2;
-    PE.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
-    PE.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
-    ParallelExplorer<MemSys> Ex(P, Mem, PE);
-    ParExploreResult R = Ex.run();
-    ExploreResult Out;
-    Out.Stats = std::move(R.Stats);
-    Out.ProgramStates = std::move(R.ProgramStates);
-    return Out;
-  }
-  ExploreOptions EO;
-  EO.MaxStates = Opts.MaxStates;
-  EO.RecordParents = false;
-  EO.StopOnViolation = false;
-  EO.CheckAssertions = false;
-  EO.CollectProgramStates = true;
-  EO.CompressVisited = Opts.CompressVisited;
-  EO.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
-  EO.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
-  ProductExplorer<MemSys> Ex(P, Mem, EO);
+ParExploreResult collectStates(const Program &P, const MemSys &Mem,
+                               const TSOOptions &Opts) {
+  ParExploreOptions PE;
+  PE.Threads = Opts.Threads;
+  PE.MaxStates = Opts.MaxStates;
+  PE.StopOnViolation = false;
+  PE.CheckAssertions = false;
+  PE.CollectProgramStates = true;
+  PE.RecordTrace = false;
+  PE.CompressVisited = Opts.CompressVisited;
+  PE.Visited = Opts.Visited;
+  PE.LockFreeLog2 = Opts.LockFreeLog2;
+  PE.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
+  PE.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
+  ParallelExplorer<MemSys> Ex(P, Mem, PE);
   return Ex.run();
 }
 
@@ -119,10 +101,10 @@ TSORobustnessResult rocker::checkTSORobustness(const Program &Input,
   }
 
   TSOMachine TSO(*P, Opts.BufferBound);
-  ExploreResult RTso = collectStates(*P, TSO, Opts);
+  ParExploreResult RTso = collectStates(*P, TSO, Opts);
 
   SCMemory SC(*P);
-  ExploreResult RSc = collectStates(*P, SC, Opts);
+  ParExploreResult RSc = collectStates(*P, SC, Opts);
 
   TSORobustnessResult Res;
   Res.Complete = !RTso.Stats.Truncated && !RSc.Stats.Truncated;

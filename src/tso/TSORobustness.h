@@ -39,14 +39,13 @@ struct TSOOptions {
   /// Lower wait/BCAS to spin loops first (Trencher-style input language).
   bool TrencherMode = false;
   uint64_t MaxStates = 50'000'000;
-  /// Worker threads for the two explorations; >1 selects the parallel
-  /// engine (parexplore/ParallelExplorer.h), same verdicts and counts.
+  /// Workers of the engine (parexplore/ParallelExplorer.h) for the two
+  /// explorations; same verdicts and counts at every worker count.
   unsigned Threads = 1;
   /// Collapse-compressed visited sets for both explorations (exact; see
-  /// ExploreOptions::CompressVisited).
+  /// ParExploreOptions::CompressVisited).
   bool CompressVisited = defaultCompressVisited();
-  /// Parallel-engine visited tier (see ParExploreOptions::Visited);
-  /// ignored at Threads <= 1.
+  /// Visited tier (see ParExploreOptions::Visited).
   VisitedImpl Visited = defaultVisitedImpl();
   /// Initial lock-free root-table log2 (see ParExploreOptions).
   unsigned LockFreeLog2 = 0;

@@ -21,7 +21,6 @@ endfunction()
 expect_usage(${ROCKER_CLI} --threads=2x SB)
 expect_usage(${ROCKER_CLI} --threads -4 SB)
 expect_usage(${ROCKER_CLI} --max-states 10q SB)
-expect_usage(${ROCKER_CLI} --max-seconds abc SB)
 expect_usage(${ROCKER_CLI} --bitstate 2.5 SB)
 expect_usage(${ROCKER_CLI} --mem-budget 1MB SB)
 expect_usage(${ROCKER_CLI} --deadline=1.5s SB)
@@ -29,7 +28,6 @@ expect_usage(${ROCKER_CLI} --watchdog " 5" SB)
 expect_usage(${ROCKER_CLI} --samples 12x SB)
 expect_usage(${ROCKER_CLI} --sample-seed 0x10 SB)
 expect_usage(${ROCKER_CLI} --progress=abc SB)
-expect_usage(${ROCKER_CLI} --jobs 2x --batch nothing.json)
 expect_usage(${CMAKE_COMMAND} -E env ROCKER_PROGRESS=abc ${ROCKER_CLI} SB)
 
 # fig7_table: the sampling knobs.
@@ -38,6 +36,7 @@ expect_usage(${FIG7} --sample-seed abc)
 
 # rocker_batch: numeric defaults and the corpus/manifest contract.
 expect_usage(${ROCKER_BATCH} --corpus --jobs 2x)
+expect_usage(${ROCKER_BATCH} --jobs 2x nothing.json)
 expect_usage(${ROCKER_BATCH} --corpus --max-states 1e9)
 expect_usage(${ROCKER_BATCH} --corpus --mem-budget 12Q)
 expect_usage(${ROCKER_BATCH} --corpus --deadline abc)

@@ -2,12 +2,14 @@
 //
 // Every light corpus program must keep its expected verdict under every
 // combination of checker configuration: {full, abstract monitor} ×
-// {BFS, DFS} × {ε-collapse on, off}. The verdict is a semantic property
-// of the program (Theorem 5.3); none of these engineering knobs may
-// change it.
+// {BFS, DFS} × {ε-collapse on, off}. BFS is the deterministic BFS
+// reference (explore/Explorer.h); DFS is checkRobustness at one worker,
+// whose own deque pops LIFO. The verdict is a semantic property of the
+// program (Theorem 5.3); none of these engineering knobs may change it.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "litmus/Corpus.h"
 #include "rocker/RobustnessChecker.h"
 
@@ -38,6 +40,9 @@ std::vector<std::string> allLightPrograms() {
   return Names;
 }
 
+/// Exploration order of one matrix cell (see the file comment).
+enum class SearchOrder : uint8_t { BFS, DFS };
+
 } // namespace
 
 using MatrixParam = std::tuple<std::string, bool, SearchOrder, bool>;
@@ -50,11 +55,11 @@ TEST_P(ConfigMatrix, VerdictIsConfigurationInvariant) {
   Program P = E.parse();
   RockerOptions O;
   O.UseCriticalAbstraction = Abstract;
-  O.Order = Order;
   O.CollapseLocalSteps = Collapse;
   O.RecordTrace = false;
   O.MaxStates = 4'000'000;
-  RockerReport R = checkRobustness(P, O);
+  RockerReport R = Order == SearchOrder::BFS ? test::bfsReference(P, O)
+                                             : checkRobustness(P, O);
   ASSERT_TRUE(R.Complete) << Name;
   EXPECT_EQ(R.Robust, E.ExpectRobust) << Name;
 }

@@ -1,5 +1,6 @@
 //===- tests/ExplorerModesTest.cpp - DFS order and bitstate hashing ---------===//
 
+#include "TestHelpers.h"
 #include "litmus/Corpus.h"
 #include "rocker/RobustnessChecker.h"
 
@@ -8,14 +9,14 @@
 using namespace rocker;
 
 TEST(DfsOrder, SameVerdictsAsBfsOnLitmus) {
+  // One worker pops its own deque LIFO, so a 1-worker run explores
+  // depth-first; the BFS reference explores breadth-first.
   for (const CorpusEntry &E : litmusTests()) {
     Program P = E.parse();
-    RockerOptions Bfs;
-    Bfs.RecordTrace = false;
-    RockerOptions Dfs = Bfs;
-    Dfs.Order = SearchOrder::DFS;
-    RockerReport RB = checkRobustness(P, Bfs);
-    RockerReport RD = checkRobustness(P, Dfs);
+    RockerOptions O;
+    O.RecordTrace = false;
+    RockerReport RB = test::bfsReference(P, O);
+    RockerReport RD = checkRobustness(P, O);
     EXPECT_EQ(RB.Robust, RD.Robust) << E.Name;
     // For robust programs both searches are exhaustive, so they agree on
     // the state count (non-robust runs stop at their first violation,
@@ -26,12 +27,13 @@ TEST(DfsOrder, SameVerdictsAsBfsOnLitmus) {
 }
 
 TEST(DfsOrder, TraceStillReconstructs) {
+  // The depth-first worker finds the violation; the BFS replay rebuilds
+  // its trace.
   Program P = findCorpusEntry("SB").parse();
-  RockerOptions O;
-  O.Order = SearchOrder::DFS;
-  RockerReport R = checkRobustness(P, O);
+  RockerReport R = checkRobustness(P, RockerOptions{});
   ASSERT_FALSE(R.Robust);
   EXPECT_NE(R.FirstViolationText.find("trace"), std::string::npos);
+  EXPECT_FALSE(R.FirstViolationTrace.empty());
 }
 
 TEST(Bitstate, FindsRealViolations) {

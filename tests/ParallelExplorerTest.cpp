@@ -1,20 +1,21 @@
 //===- tests/ParallelExplorerTest.cpp - Parallel-engine equivalence ---------===//
 //
-// The parallel engine must be a drop-in replacement for the sequential
-// one: on every program in programs/*.rkr, for the SC, SCM, and TSO
-// subsystems, it must report the same verdict and — because an exact
-// dedup set is order-independent — the same state, transition, and
-// deadlock counts at 2 and 4 worker threads. Programs whose state space
-// exceeds the per-test budget are skipped (both engines would truncate at
-// engine-specific frontiers); the corpus must still yield a healthy
-// number of compared programs.
+// The work-stealing engine must not depend on its worker count: on every
+// program in programs/*.rkr, for the SC, SCM, and TSO subsystems, it
+// must report the same verdict and — because an exact dedup set is
+// order-independent — the same state, transition, and deadlock counts at
+// 1, 2 and 4 workers, and for SCM the same as the BFS reference
+// (explore/Explorer.h). Programs whose state space exceeds the per-test
+// budget are skipped (runs would truncate at order-specific frontiers);
+// the corpus must still yield a healthy number of compared programs.
 //
-// Also covered: byte-identical violation reports via the sequential
-// replay, the Bounded verdict on state and wall-clock budgets, and the
-// sharded-set / work-deque primitives.
+// Also covered: byte-identical violation reports via the BFS replay, the
+// Bounded verdict on state and wall-clock budgets, and the sharded-set /
+// work-deque primitives.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "lang/Parser.h"
 #include "litmus/Corpus.h"
 #include "memory/SCMemory.h"
@@ -95,8 +96,8 @@ bool expectEquivalent(const char *What, const std::string &Name,
 TEST(ParallelExplorer, ScmEquivalentOnFullCorpus) {
   unsigned Compared = 0;
   for (const auto &[Name, P] : loadCorpusDir()) {
-    RockerReport Seq = checkRobustness(P, fullExploreOpts(1));
-    for (unsigned Threads : {2u, 4u}) {
+    RockerReport Seq = test::bfsReference(P, fullExploreOpts(1));
+    for (unsigned Threads : {1u, 2u, 4u}) {
       RockerReport Par = checkRobustness(P, fullExploreOpts(Threads));
       if (expectEquivalent("SCM", Name, Threads, Seq, Par))
         ++Compared;
@@ -145,13 +146,13 @@ TEST(ParallelExplorer, TsoEquivalentOnFullCorpus) {
 
 TEST(ParallelExplorer, ViolationReportsAreByteIdenticalToSequential) {
   // The deterministic replay must make traces and Violation contents
-  // byte-identical to the sequential engine, for both robustness
-  // violations and assertion failures.
+  // byte-identical to the BFS reference at every worker count, for both
+  // robustness violations and assertion failures.
   for (const char *Name : {"SB", "MP", "peterson-ra-dmitriy"}) {
     Program P = findCorpusEntry(Name).parse();
     RockerOptions SO;
-    RockerReport Seq = checkRobustness(P, SO);
-    for (unsigned Threads : {2u, 4u}) {
+    RockerReport Seq = test::bfsReference(P, SO);
+    for (unsigned Threads : {1u, 2u, 4u}) {
       RockerOptions PO;
       PO.Threads = Threads;
       RockerReport Par = checkRobustness(P, PO);
@@ -202,7 +203,7 @@ TEST(ParallelExplorer, BoundedVerdictOnWallClock) {
   SCMemory Mem(P);
   ParExploreOptions PO;
   PO.Threads = 2;
-  PO.MaxSeconds = 1e-9; // Expires immediately after the first batch.
+  PO.Resilience.DeadlineSeconds = 1e-9; // Expires after the first batch.
   ParallelExplorer<SCMemory> Ex(P, Mem, PO);
   ParExploreResult R = Ex.run();
   if (R.Verdict == ParVerdict::Bounded) {

@@ -105,10 +105,6 @@ TEST(CacheKey, InsensitiveToWallClockAndObservabilityKnobs) {
   EXPECT_EQ(serve::cacheKey(P, "robustness", O), Base) << "RecordTrace";
 
   O = RockerOptions();
-  O.MaxSeconds = 30;
-  EXPECT_EQ(serve::cacheKey(P, "robustness", O), Base) << "MaxSeconds";
-
-  O = RockerOptions();
   O.Resilience.DeadlineSeconds = 5;
   EXPECT_EQ(serve::cacheKey(P, "robustness", O), Base) << "Deadline";
 
@@ -170,11 +166,6 @@ TEST(CacheKey, SensitiveToVerdictRelevantOptions) {
   O = RockerOptions();
   O.UsePor = !O.UsePor;
   EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "por";
-
-  O = RockerOptions();
-  O.Order = O.Order == SearchOrder::BFS ? SearchOrder::DFS
-                                        : SearchOrder::BFS;
-  EXPECT_NE(serve::cacheKey(P, "robustness", O), Base) << "order";
 
   O = RockerOptions();
   O.CollapseLocalSteps = !O.CollapseLocalSteps;
@@ -506,7 +497,7 @@ TEST(ServeBatch, ManifestParsesDefaultsAndOverrides) {
     "jobs": [
       { "program": "SB" },
       { "program": "MP", "mode": "sc", "name": "mp-under-sc" },
-      { "program": "peterson-ra", "max_states": 77 }
+      { "program": "peterson-ra", "max_states": 77, "max_seconds": 9 }
     ]
   })";
   std::string Err;
@@ -521,6 +512,8 @@ TEST(ServeBatch, ManifestParsesDefaultsAndOverrides) {
   EXPECT_EQ((*Jobs)[1].Mode, "sc");
   EXPECT_EQ((*Jobs)[2].Opts.MaxStates, 77u);
   EXPECT_EQ((*Jobs)[2].Opts.Threads, 2u); // Defaults still apply.
+  // "max_seconds" is the deadline under its old name.
+  EXPECT_EQ((*Jobs)[2].Opts.Resilience.DeadlineSeconds, 9.0);
 }
 
 TEST(ServeBatch, ManifestRejectsBadInput) {
@@ -540,6 +533,15 @@ TEST(ServeBatch, ManifestRejectsBadInput) {
                    &Err)
                    .has_value());
   EXPECT_NE(Err.find("max_state"), std::string::npos) << Err;
+
+  // The search-order knob is gone; its key says so instead of being
+  // ignored.
+  EXPECT_FALSE(serve::parseBatchManifest(
+                   R"({"schema":"rocker-batch-manifest/1",
+                       "jobs":[{"program":"SB","order":"dfs"}]})",
+                   &Err)
+                   .has_value());
+  EXPECT_NE(Err.find("\"order\" was removed"), std::string::npos) << Err;
 
   // A job needs exactly one of program/file.
   EXPECT_FALSE(serve::parseBatchManifest(

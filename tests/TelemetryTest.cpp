@@ -247,7 +247,7 @@ TEST(Json, RunReportRoundTrip) {
   EXPECT_EQ(V->find("verdict")->find("violations")->asUInt(),
             R.Violations.size());
   EXPECT_EQ(V->find("stats")->find("states")->asUInt(), R.Stats.NumStates);
-  EXPECT_EQ(V->find("config")->find("engine")->asString(), "sequential");
+  EXPECT_EQ(V->find("config")->find("engine")->asString(), "exact");
   EXPECT_EQ(V->find("tool")->find("telemetry")->asBool(),
             obs::telemetryEnabled());
 

@@ -1,7 +1,8 @@
 //===- tests/TestHelpers.h - Shared test utilities -------------*- C++ -*-===//
 ///
 /// \file
-/// Random program generation for the cross-validation property tests, and
+/// Random program generation for the cross-validation property tests, the
+/// BFS reference run the engine's differential tests compare against, and
 /// small helpers shared between test files.
 ///
 //===----------------------------------------------------------------------===//
@@ -9,7 +10,10 @@
 #ifndef ROCKER_TESTS_TESTHELPERS_H
 #define ROCKER_TESTS_TESTHELPERS_H
 
+#include "explore/Explorer.h"
 #include "lang/Program.h"
+#include "monitor/SCMState.h"
+#include "rocker/RobustnessChecker.h"
 
 #include <random>
 
@@ -96,6 +100,47 @@ inline Program randomProgram(std::mt19937 &Rng,
     }
   }
   return B.build();
+}
+
+/// Runs the robustness check of checkRobustness on the deterministic BFS
+/// reference (explore/Explorer.h) instead of the work-stealing engine:
+/// same SCM monitor hook, same semantic options. The independent side of
+/// the engine's differential tests.
+inline RockerReport bfsReference(const Program &P, const RockerOptions &O) {
+  SCMonitor Mem(P, O.UseCriticalAbstraction);
+  ExploreOptions EO;
+  EO.MaxStates = O.MaxStates;
+  EO.RecordParents = O.RecordTrace;
+  EO.StopOnViolation = O.StopOnViolation;
+  EO.CheckAssertions = O.CheckAssertions;
+  EO.CheckRaces = O.CheckRaces;
+  EO.CollapseLocalSteps = O.CollapseLocalSteps;
+  EO.UsePor = O.UsePor;
+  ProductExplorer<SCMonitor> Ex(P, Mem, EO);
+  ExploreResult R = Ex.runWithHook(
+      [&](const SCMState &S, ThreadId T, uint32_t,
+          const MemAccess &A) -> std::optional<Violation> {
+        std::optional<MonitorViolation> MV = Mem.checkAccess(S, T, A);
+        if (!MV)
+          return std::nullopt;
+        Violation V;
+        V.K = Violation::Kind::Robustness;
+        V.Loc = MV->Loc;
+        V.Witness = MV->WitnessIsCritical ? MV->WitnessVal
+                                          : static_cast<Val>(0xff);
+        V.Type = MV->Type;
+        return V;
+      });
+  RockerReport Rep;
+  Rep.Complete = !R.Stats.Truncated;
+  Rep.Robust = R.Violations.empty();
+  Rep.Stats = R.Stats;
+  Rep.Violations = R.Violations;
+  if (!Rep.Robust) {
+    Rep.FirstViolationText = Ex.report(R.Violations.front());
+    Rep.FirstViolationTrace = Ex.trace(R.Violations.front());
+  }
+  return Rep;
 }
 
 } // namespace rocker::test
