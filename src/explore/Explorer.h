@@ -23,6 +23,8 @@
 ///   void enumerateInternal(const State&, Fn) const;
 ///       // Fn(ThreadId, State&&) for internal steps (e.g. TSO flushes)
 ///   void serialize(const State&, std::string&) const;
+/// and optionally stepInPlace (explore/Por.h), the POR chain walk's
+/// copy-free single step.
 ///
 /// The explorer performs: deduplication via a hashed visited map of
 /// serialized product states, parent tracking for counterexample traces,
@@ -146,6 +148,9 @@ struct ExploreStats {
 /// Options of the BFS reference engine.
 struct ExploreOptions {
   uint64_t MaxStates = UINT64_MAX;
+  /// Record parent edges for trace(). This also stores every reduced
+  /// state instead of only ample-chain endpoints (see fastForward), so
+  /// traces are step-exact; the work-stealing engine never does either.
   bool RecordParents = true;
   bool StopOnViolation = true;
   bool CheckAssertions = true;
@@ -177,6 +182,42 @@ struct ExploreResult {
 
   bool hasViolation() const { return !Violations.empty(); }
 };
+
+/// A pending non-atomic access, for the Definition 6.1 race check.
+struct NaAccess {
+  ThreadId T;
+  LocId Loc;
+  bool IsWrite;
+  uint32_t Pc;
+};
+
+/// The Definition 6.1 race check over one state's pending non-atomic
+/// accesses \p Na (both engines): racy iff two threads enable accesses to
+/// the same NA location, at least one writing. Passes each race (StateId
+/// 0) to \p Report, which returns false to stop; returns false when
+/// stopped.
+template <typename ReportFn>
+bool checkNaRaces(const Program &P, const std::vector<NaAccess> &Na,
+                  ReportFn Report) {
+  for (unsigned I = 0; I != Na.size(); ++I) {
+    for (unsigned J = I + 1; J != Na.size(); ++J) {
+      if (Na[I].Loc != Na[J].Loc || (!Na[I].IsWrite && !Na[J].IsWrite))
+        continue;
+      Violation V;
+      V.K = Violation::Kind::Race;
+      V.StateId = 0;
+      V.Thread = Na[I].T;
+      V.Pc = Na[I].Pc;
+      V.Loc = Na[I].Loc;
+      V.Detail = "data race on non-atomic '" + P.locName(Na[I].Loc) +
+                 "' between t" + std::to_string(Na[I].T) + " and t" +
+                 std::to_string(Na[J].T);
+      if (!Report(std::move(V)))
+        return false;
+    }
+  }
+  return true;
+}
 
 /// Checkpoint codec for violations.
 inline void encodeViolation(BinWriter &W, const Violation &V) {
@@ -375,13 +416,8 @@ private:
   bool chainChecks(const ProductState &S,
                    const std::vector<ThreadStep> &Steps, int Ample,
                    uint64_t Id, ExploreResult &Res, AccessHook &Hook) {
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
-    };
-    std::vector<NaAccess> NaAccesses;
+    std::vector<NaAccess> &NaAccesses = ChainNaBuf;
+    NaAccesses.clear();
     for (unsigned T = 0; T != Steps.size(); ++T) {
       const ThreadStep &Step = Steps[T];
       switch (Step.K) {
@@ -427,35 +463,17 @@ private:
       }
       }
     }
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
-          V.StateId = Id;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
-          Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return false;
-        }
-      }
-    }
-    return true;
+    return !Opts.CheckRaces ||
+           checkNaRaces(P, NaAccesses, [&](Violation V) {
+             V.StateId = Id;
+             Res.Violations.push_back(std::move(V));
+             return !Opts.StopOnViolation;
+           });
   }
 
   /// Ample-chain fast-forwarding: at an ample state the reduced graph is
   /// locally a chain — porEligible guarantees the ample step has exactly
-  /// one successor — so in non-trace runs every state is walked to its
+  /// one successor — so without RecordParents every state is walked to its
   /// chain's endpoint (the first state with no ample thread) *before*
   /// being interned, and ample states never enter the visited set at
   /// all. The per-state checks run at every skipped state and every hop
@@ -464,8 +482,8 @@ private:
   /// terminates because ample steps strictly increase the stepped
   /// thread's pc, and the stored set — the initial chain endpoint plus
   /// endpoints reached from fully-expanded states — is a pure function
-  /// of the program, so this BFS and the work-stealing engine agree on
-  /// state counts.
+  /// of the program, so this BFS without RecordParents and the
+  /// work-stealing engine (which always chains) agree on state counts.
   template <typename AccessHook>
   ProductState fastForward(ProductState &&S, uint64_t Id,
                            ExploreResult &Res, AccessHook &Hook) {
@@ -477,10 +495,10 @@ private:
         return std::move(S);
       // Own scratch: expand() is mid-iteration over StepsBuf when it
       // calls fastForward, so the chain walk must not clobber it.
-      ChainSteps.clear();
+      ChainSteps.resize(P.numThreads());
       for (unsigned T = 0; T != P.numThreads(); ++T)
-        ChainSteps.push_back(
-            inspectThread(P, static_cast<ThreadId>(T), S.Threads[T]));
+        inspectThreadInto(P, static_cast<ThreadId>(T), S.Threads[T],
+                          ChainSteps[T]);
       int Ample = Por.selectAmple(ChainSteps, S.Threads,
                                   Opts.CollapseLocalSteps);
       if (Ample < 0)
@@ -508,40 +526,20 @@ private:
         ++Res.Stats.NumTransitions;
         continue;
       }
-      // Never-blocking ample access: porEligible guarantees exactly one
-      // successor; store S as-is (its expansion handles the ample set)
-      // should a subsystem ever break that contract.
-      std::optional<ProductState> Next;
-      unsigned Count = 0;
-      Mem.enumerate(S.M, static_cast<ThreadId>(Ample), Step.A,
-                    [&](const Label &L, MemState &&M2) {
-                      if (++Count != 1)
-                        return;
-                      ProductState N;
-                      N.Threads = S.Threads;
-                      N.Threads[Ample] =
-                          applyAccess(P, static_cast<ThreadId>(Ample),
-                                      S.Threads[Ample], Step.A, L);
-                      N.M = std::move(M2);
-                      Next = std::move(N);
-                    });
-      if (Count != 1)
+      // Store S as-is (its expansion handles the ample set) should a
+      // subsystem break the one-successor contract of an ample access.
+      if (!stepAmpleAccess(P, Mem, S.Threads, S.M,
+                           static_cast<ThreadId>(Ample), Step.A))
         return std::move(S);
       ++Res.Stats.NumTransitions;
-      S = std::move(*Next);
     }
   }
 
   template <typename AccessHook>
   void expand(uint64_t Id, ExploreResult &Res, AccessHook &Hook) {
     // Pending NA accesses for the Definition 6.1 race check.
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
-    };
-    std::vector<NaAccess> NaAccesses;
+    std::vector<NaAccess> &NaAccesses = NaBuf;
+    NaAccesses.clear();
     bool AnyStep = false;
     bool AllHalted = true;
 
@@ -551,17 +549,17 @@ private:
     // below — the per-state checks (assertions, the access hook, the
     // race check) still run for every thread. Selection is a pure
     // function of the state, so this BFS and every worker of the
-    // work-stealing engine reduce to the same state graph. In non-trace runs fastForward keeps ample
-    // states out of the visited set entirely, so this block fires only
-    // in trace mode (and on the contract-breach fallback).
+    // work-stealing engine reduce to the same state graph. Without
+    // RecordParents fastForward keeps ample states out of the visited
+    // set entirely, so this block fires only in trace replays (and on
+    // the contract-breach fallback).
+    StepsBuf.resize(P.numThreads());
+    for (unsigned T = 0; T != P.numThreads(); ++T)
+      inspectThreadInto(P, static_cast<ThreadId>(T), States[Id].Threads[T],
+                        StepsBuf[T]);
     int Ample = -1;
-    bool PorActive = Opts.UsePor && !Opts.CollectProgramStates &&
-                     Por.usable() && memPorEligible(Mem, States[Id].M);
-    if (PorActive) {
-      StepsBuf.clear();
-      for (unsigned T = 0; T != P.numThreads(); ++T)
-        StepsBuf.push_back(inspectThread(P, static_cast<ThreadId>(T),
-                                         States[Id].Threads[T]));
+    if (Opts.UsePor && !Opts.CollectProgramStates && Por.usable() &&
+        memPorEligible(Mem, States[Id].M)) {
       Ample = Por.selectAmple(StepsBuf, States[Id].Threads,
                               Opts.CollapseLocalSteps);
       if (Ample >= 0)
@@ -571,11 +569,9 @@ private:
     }
 
     for (unsigned T = 0; T != P.numThreads(); ++T) {
-      // The state vector may reallocate during expansion; re-index.
-      ThreadStep Step = PorActive
-                            ? StepsBuf[T]
-                            : inspectThread(P, static_cast<ThreadId>(T),
-                                            States[Id].Threads[T]);
+      // The state vector may reallocate during expansion (re-index it);
+      // StepsBuf is stable: fastForward has its own scratch.
+      const ThreadStep &Step = StepsBuf[T];
       if (Step.K != ThreadStep::Kind::Halted)
         AllHalted = false;
       switch (Step.K) {
@@ -655,8 +651,8 @@ private:
               AnyStep = true;
               ProductState Next;
               Next.Threads = States[Id].Threads;
-              Next.Threads[T] = applyAccess(P, static_cast<ThreadId>(T),
-                                            States[Id].Threads[T], A, L);
+              applyAccessInPlace(P, static_cast<ThreadId>(T),
+                                 Next.Threads[T], A, L);
               Next.M = std::move(M2);
               ++Res.Stats.NumTransitions;
               uint64_t C =
@@ -673,31 +669,12 @@ private:
         return;
     }
 
-    // Definition 6.1: racy iff two threads concurrently enable accesses to
-    // the same NA location, at least one writing.
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
+    if (Opts.CheckRaces && !checkNaRaces(P, NaAccesses, [&](Violation V) {
           V.StateId = Id;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
           Res.Violations.push_back(std::move(V));
-          if (Opts.StopOnViolation)
-            return;
-        }
-      }
-    }
+          return !Opts.StopOnViolation;
+        }))
+      return;
 
     // Memory-internal steps (e.g. TSO store-buffer flushes). porEligible
     // asserts none are enabled at ample states, so the scan is skipped
@@ -724,6 +701,8 @@ private:
   PorAnalysis Por;                 ///< Ample-set analysis (explore/Por.h).
   std::vector<ThreadStep> StepsBuf; ///< Scratch: per-thread steps.
   std::vector<ThreadStep> ChainSteps; ///< Scratch: fastForward's walk.
+  std::vector<NaAccess> NaBuf;      ///< Scratch: expand's NA accesses.
+  std::vector<NaAccess> ChainNaBuf; ///< Scratch: chainChecks' NA accesses.
   uint64_t AmpleStates = 0;   ///< States expanded via an ample set.
   uint64_t PorFullStates = 0; ///< POR-active states with no ample set.
   uint64_t PorSavedSteps = 0; ///< Pending steps skipped at ample states.

@@ -72,8 +72,10 @@
 #include "lang/Program.h"
 #include "lang/Step.h"
 
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 namespace rocker {
@@ -102,6 +104,49 @@ bool memPorEligible(const MemSys &M, const typename MemSys::State &S) {
     return M.porEligible(S);
   else
     return false;
+}
+
+/// True when \p MemSys can take a deterministic access step in place:
+/// stepInPlace returns the label taken, or nullopt (state untouched) when
+/// the access blocks.
+template <typename MemSys>
+concept HasStepInPlace =
+    requires(const MemSys &M, typename MemSys::State &S, ThreadId T,
+             const MemAccess &A) {
+      { M.stepInPlace(S, T, A) } -> std::same_as<std::optional<Label>>;
+    };
+
+/// The chain walk's ample access (both engines' fastForward): applies
+/// \p T's never-blocking access \p A to \p Threads and \p M in place —
+/// without a state copy when the subsystem has stepInPlace. porEligible
+/// guarantees exactly one successor; should a subsystem break that
+/// contract this returns false with the state unchanged.
+template <typename MemSys>
+bool stepAmpleAccess(const Program &P, const MemSys &Mem,
+                     std::vector<ThreadState> &Threads,
+                     typename MemSys::State &M, ThreadId T,
+                     const MemAccess &A) {
+  using MemState = typename MemSys::State;
+  std::optional<Label> L;
+  if constexpr (HasStepInPlace<MemSys>) {
+    L = Mem.stepInPlace(M, T, A);
+  } else {
+    std::optional<MemState> Next;
+    unsigned Count = 0;
+    Mem.enumerate(M, T, A, [&](const Label &Taken, MemState &&M2) {
+      if (++Count == 1) {
+        L = Taken;
+        Next = std::move(M2);
+      }
+    });
+    if (Count != 1)
+      return false;
+    M = std::move(*Next);
+  }
+  if (!L)
+    return false;
+  applyAccessInPlace(P, T, Threads[T], A, *L);
+  return true;
 }
 
 /// The static conflict analysis plus the per-state ample-thread

@@ -6,110 +6,104 @@ using namespace rocker;
 
 namespace {
 
-/// Builds the ThreadStep for the instruction at the current pc.
+/// Fills the ThreadStep for the instruction at the current pc.
 struct Inspector {
   const Program &P;
-  const SequentialProgram &S;
   const ThreadState &TS;
+  ThreadStep &R;
 
   unsigned modulus() const { return P.NumVals; }
 
-  ThreadStep local(uint32_t NextPc) const {
-    ThreadStep R;
+  void local(uint32_t NextPc) const {
     R.K = ThreadStep::Kind::Local;
-    R.Next = TS;
+    R.Next = TS; // Copy-assignment reuses R's register buffer.
     R.Next.Pc = NextPc;
-    return R;
   }
 
-  ThreadStep access(MemAccess A) const {
-    ThreadStep R;
+  void access(const MemAccess &A) const {
     R.K = ThreadStep::Kind::Access;
     R.A = A;
-    return R;
   }
 
-  ThreadStep operator()(const AssignInst &I) const {
-    ThreadStep R = local(TS.Pc + 1);
+  void operator()(const AssignInst &I) const {
+    local(TS.Pc + 1);
     R.Next.Regs[I.Dst] = I.E.evaluate(TS.Regs, modulus());
-    return R;
   }
 
-  ThreadStep operator()(const IfGotoInst &I) const {
+  void operator()(const IfGotoInst &I) const {
     Val C = I.Cond.evaluate(TS.Regs, modulus());
-    return local(C != 0 ? I.Target : TS.Pc + 1);
+    local(C != 0 ? I.Target : TS.Pc + 1);
   }
 
-  ThreadStep operator()(const AssertInst &I) const {
+  void operator()(const AssertInst &I) const {
     if (I.Cond.evaluate(TS.Regs, modulus()) != 0)
-      return local(TS.Pc + 1);
-    ThreadStep R;
-    R.K = ThreadStep::Kind::AssertFail;
-    return R;
+      local(TS.Pc + 1);
+    else
+      R.K = ThreadStep::Kind::AssertFail;
   }
 
-  ThreadStep operator()(const StoreInst &I) const {
+  void operator()(const StoreInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Write;
     A.Loc = I.Loc;
     A.IsNA = P.isNaLoc(I.Loc);
     A.WriteVal = I.E.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const LoadInst &I) const {
+  void operator()(const LoadInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Read;
     A.Loc = I.Loc;
     A.IsNA = P.isNaLoc(I.Loc);
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const FaddInst &I) const {
+  void operator()(const FaddInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Fadd;
     A.Loc = I.Loc;
     A.IsNA = false;
     A.Addend = I.Add.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const XchgInst &I) const {
+  void operator()(const XchgInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Xchg;
     A.Loc = I.Loc;
     A.IsNA = false;
     A.NewVal = I.New.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const CasInst &I) const {
+  void operator()(const CasInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Cas;
     A.Loc = I.Loc;
     A.IsNA = false;
     A.Expected = I.Expected.evaluate(TS.Regs, modulus());
     A.Desired = I.Desired.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const WaitInst &I) const {
+  void operator()(const WaitInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Wait;
     A.Loc = I.Loc;
     A.IsNA = false;
     A.Expected = I.Expected.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 
-  ThreadStep operator()(const BcasInst &I) const {
+  void operator()(const BcasInst &I) const {
     MemAccess A{};
     A.K = MemAccess::Kind::Bcas;
     A.Loc = I.Loc;
     A.IsNA = false;
     A.Expected = I.Expected.evaluate(TS.Regs, modulus());
     A.Desired = I.Desired.evaluate(TS.Regs, modulus());
-    return access(A);
+    access(A);
   }
 };
 
@@ -117,42 +111,43 @@ struct Inspector {
 
 ThreadStep rocker::inspectThread(const Program &P, ThreadId T,
                                  const ThreadState &TS) {
+  ThreadStep R;
+  inspectThreadInto(P, T, TS, R);
+  return R;
+}
+
+void rocker::inspectThreadInto(const Program &P, ThreadId T,
+                               const ThreadState &TS, ThreadStep &Out) {
   const SequentialProgram &S = P.Threads[T];
   if (TS.Pc >= S.Insts.size())
-    return ThreadStep(); // Halted.
-  return std::visit(Inspector{P, S, TS}, S.Insts[TS.Pc]);
+    Out.K = ThreadStep::Kind::Halted;
+  else
+    std::visit(Inspector{P, TS, Out}, S.Insts[TS.Pc]);
 }
 
 ThreadState rocker::applyAccess(const Program &P, ThreadId T,
                                 const ThreadState &TS, const MemAccess &A,
                                 const Label &L) {
+  ThreadState Next = TS;
+  applyAccessInPlace(P, T, Next, A, L);
+  return Next;
+}
+
+void rocker::applyAccessInPlace(const Program &P, ThreadId T,
+                                ThreadState &TS, const MemAccess &,
+                                const Label &L) {
   const SequentialProgram &S = P.Threads[T];
   assert(TS.Pc < S.Insts.size() && "applyAccess on halted thread");
-  ThreadState Next = TS;
-  Next.Pc = TS.Pc + 1;
-
-  const Inst &I = S.Insts[TS.Pc];
-  if (const auto *Load = std::get_if<LoadInst>(&I)) {
-    Next.Regs[Load->Dst] = L.ValR;
-    return Next;
-  }
-  if (const auto *Fadd = std::get_if<FaddInst>(&I)) {
-    if (Fadd->HasDst)
-      Next.Regs[Fadd->Dst] = L.ValR;
-    return Next;
-  }
-  if (const auto *Xchg = std::get_if<XchgInst>(&I)) {
-    if (Xchg->HasDst)
-      Next.Regs[Xchg->Dst] = L.ValR;
-    return Next;
-  }
-  if (const auto *Cas = std::get_if<CasInst>(&I)) {
-    // Both on success (RMW label, reads Expected) and on failure (plain
-    // read label), the destination receives the read value (Figure 2).
-    if (Cas->HasDst)
-      Next.Regs[Cas->Dst] = L.ValR;
-    return Next;
-  }
-  // Store, Wait, Bcas: no register effect.
-  return Next;
+  const Inst &I = S.Insts[TS.Pc++];
+  // Cas writes its destination both on success (RMW label, reads
+  // Expected) and on failure (plain read label): the read value
+  // (Figure 2). Store, Wait, Bcas: no register effect.
+  if (const auto *Load = std::get_if<LoadInst>(&I))
+    TS.Regs[Load->Dst] = L.ValR;
+  else if (const auto *Fadd = std::get_if<FaddInst>(&I); Fadd && Fadd->HasDst)
+    TS.Regs[Fadd->Dst] = L.ValR;
+  else if (const auto *Xchg = std::get_if<XchgInst>(&I); Xchg && Xchg->HasDst)
+    TS.Regs[Xchg->Dst] = L.ValR;
+  else if (const auto *Cas = std::get_if<CasInst>(&I); Cas && Cas->HasDst)
+    TS.Regs[Cas->Dst] = L.ValR;
 }

@@ -143,10 +143,17 @@ struct ThreadStep {
 
 /// Computes the thread's step at state \p TS (Figure 2 transitions).
 ThreadStep inspectThread(const Program &P, ThreadId T, const ThreadState &TS);
+/// inspectThread into \p Out, reusing its register buffer (\p Out.Next
+/// is meaningful only for Local steps).
+void inspectThreadInto(const Program &P, ThreadId T, const ThreadState &TS,
+                       ThreadStep &Out);
 
 /// Advances the thread past its pending access, given the label the memory
 /// subsystem selected: bumps pc and writes the destination register.
 ThreadState applyAccess(const Program &P, ThreadId T, const ThreadState &TS,
+                        const MemAccess &A, const Label &L);
+/// applyAccess on \p TS in place (no register-file copy).
+void applyAccessInPlace(const Program &P, ThreadId T, ThreadState &TS,
                         const MemAccess &A, const Label &L);
 
 } // namespace rocker

@@ -98,26 +98,34 @@ public:
   /// SC-deterministic stepping with monitor bookkeeping.
   template <typename Fn>
   void enumerate(const State &S, ThreadId T, const MemAccess &A, Fn F) const {
-    if (A.K == MemAccess::Kind::Write) {
-      State Next = S;
-      stepWrite(Next, T, A.Loc, A.WriteVal, A.IsNA);
-      F(Label::write(A.Loc, A.WriteVal, A.IsNA), std::move(Next));
+    if (A.K != MemAccess::Kind::Write &&
+        classifyRead(A, S.M[A.Loc]) == ReadOutcome::Blocked)
       return;
+    State Next = S;
+    Label L = *stepInPlace(Next, T, A);
+    F(L, std::move(Next));
+  }
+
+  /// enumerate's one successor, applied to \p S in place (the POR chain
+  /// walk's copy-free step); nullopt, with \p S untouched, when \p A
+  /// blocks.
+  std::optional<Label> stepInPlace(State &S, ThreadId T,
+                                   const MemAccess &A) const {
+    if (A.K == MemAccess::Kind::Write) {
+      stepWrite(S, T, A.Loc, A.WriteVal, A.IsNA);
+      return Label::write(A.Loc, A.WriteVal, A.IsNA);
     }
     Val VR = S.M[A.Loc];
     ReadOutcome O = classifyRead(A, VR);
     if (O == ReadOutcome::Blocked)
-      return;
+      return std::nullopt;
     if (O == ReadOutcome::PlainRead) {
-      State Next = S;
-      stepRead(Next, T, A.Loc, A.IsNA);
-      F(Label::read(A.Loc, VR, A.IsNA), std::move(Next));
-      return;
+      stepRead(S, T, A.Loc, A.IsNA);
+      return Label::read(A.Loc, VR, A.IsNA);
     }
     Val VW = rmwWriteVal(A, VR, NumVals);
-    State Next = S;
-    stepRmw(Next, T, A.Loc, VW);
-    F(Label::rmw(A.Loc, VR, VW), std::move(Next));
+    stepRmw(S, T, A.Loc, VW);
+    return Label::rmw(A.Loc, VR, VW);
   }
 
   template <typename Fn>

@@ -126,7 +126,8 @@ struct ParExploreOptions {
   bool CheckRaces = false;
   bool CollectProgramStates = false;
   bool CollapseLocalSteps = false;
-  /// Reconstruct traces via the BFS replay (see file comment).
+  /// On a violation, let the BFS replay record parents and re-derive a
+  /// step-exact trace (see replay). Exploration never depends on it.
   bool RecordTrace = true;
   /// Run the deterministic BFS replay when a violation is found.
   bool ReplayOnViolation = true;
@@ -494,6 +495,8 @@ private:
     std::vector<uint32_t> TreeScratch; ///< insertTuple working space.
     std::vector<ThreadStep> StepsBuf; ///< Scratch: per-thread steps (POR).
     std::vector<ThreadStep> ChainStepsBuf; ///< Scratch: fastForward walk.
+    std::vector<NaAccess> NaBuf;      ///< Scratch: expandState's NA steps.
+    std::vector<NaAccess> ChainNaBuf; ///< Scratch: chainChecks' NA steps.
     std::vector<ProductState> StealBuf; ///< Batched-steal landing area.
     // Incremental-hash parent cache (lock-free interner only): the state
     // being expanded, serialized and interned once by primeParent; each
@@ -944,7 +947,6 @@ private:
     S += "|races=" + std::to_string(Opts.CheckRaces);
     S += "|collapse=" + std::to_string(Opts.CollapseLocalSteps);
     S += "|por=" + std::to_string(Opts.UsePor);
-    S += "|trace=" + std::to_string(Opts.RecordTrace);
     std::string MemBytes;
     Mem.serialize(Mem.initial(), MemBytes);
     S += "|mem=";
@@ -1701,13 +1703,7 @@ private:
   bool chainChecks(Shared &Sh, WorkerSlot &W, const ProductState &S,
                    const std::vector<ThreadStep> &Steps, int Ample,
                    AccessHook &AHook) {
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
-    };
-    std::vector<NaAccess> NaAccesses;
+    W.ChainNaBuf.clear();
     for (unsigned T = 0; T != Steps.size(); ++T) {
       const ThreadStep &Step = Steps[T];
       switch (Step.K) {
@@ -1736,8 +1732,8 @@ private:
         const MemAccess &A = Step.A;
         uint32_t Pc = S.Threads[T].Pc;
         if (Opts.CheckRaces && A.IsNA)
-          NaAccesses.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
-                                        A.isWriteOnly(), Pc});
+          W.ChainNaBuf.push_back(NaAccess{static_cast<ThreadId>(T), A.Loc,
+                                          A.isWriteOnly(), Pc});
         if (std::optional<Violation> V =
                 AHook(S.M, static_cast<ThreadId>(T), Pc, A)) {
           V->StateId = 0;
@@ -1753,52 +1749,31 @@ private:
       }
       }
     }
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
-          V.StateId = 0;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
-          recordViolation(Sh, std::move(V));
-          if (Opts.StopOnViolation)
-            return false;
-        }
-      }
-    }
-    return true;
+    return !Opts.CheckRaces ||
+           checkNaRaces(P, W.ChainNaBuf, [&](Violation V) {
+             recordViolation(Sh, std::move(V));
+             return !Opts.StopOnViolation;
+           });
   }
 
-  /// Ample-chain fast-forwarding before interning — identical walk to
-  /// ProductExplorer::fastForward, so all workers and the BFS reference
-  /// store the same endpoint set. Trace-recording runs store every
-  /// reduced state (the BFS replay mirrors that via RecordParents),
-  /// keeping state counts equal under identical options.
+  /// Ample-chain fast-forwarding before interning — the walk of
+  /// ProductExplorer::fastForward, so all workers and the untraced BFS
+  /// reference store the same endpoint set. Every run walks its chains,
+  /// traced or not: only chain endpoints are ever stored, and traces come
+  /// from the replay. The walk steps \p S in place.
   template <typename AccessHook>
   ProductState fastForward(ProductState &&S, Shared &Sh, WorkerSlot &W,
                            AccessHook &AHook, uint64_t &Dirty) {
-    if (Opts.RecordTrace)
-      return std::move(S);
     for (;;) {
       if (!Opts.UsePor || Opts.CollectProgramStates || !Por.usable() ||
           !memPorEligible(Mem, S.M))
         return std::move(S);
       // Own scratch: expandState is mid-iteration over W.StepsBuf when
       // it calls fastForward, so the chain walk must not clobber it.
-      W.ChainStepsBuf.clear();
+      W.ChainStepsBuf.resize(P.numThreads());
       for (unsigned T = 0; T != P.numThreads(); ++T)
-        W.ChainStepsBuf.push_back(
-            inspectThread(P, static_cast<ThreadId>(T), S.Threads[T]));
+        inspectThreadInto(P, static_cast<ThreadId>(T), S.Threads[T],
+                          W.ChainStepsBuf[T]);
       int Ample = Por.selectAmple(W.ChainStepsBuf, S.Threads,
                                   Opts.CollapseLocalSteps);
       if (Ample < 0)
@@ -1832,26 +1807,12 @@ private:
         ++W.Transitions;
         continue;
       }
-      // Never-blocking ample access: porEligible guarantees exactly one
-      // successor; store S as-is should a subsystem break that contract.
-      std::optional<ProductState> Next;
-      unsigned Count = 0;
-      Mem.enumerate(S.M, static_cast<ThreadId>(Ample), Step.A,
-                    [&](const Label &L, MemState &&M2) {
-                      if (++Count != 1)
-                        return;
-                      ProductState N;
-                      N.Threads = S.Threads;
-                      N.Threads[Ample] =
-                          applyAccess(P, static_cast<ThreadId>(Ample),
-                                      S.Threads[Ample], Step.A, L);
-                      N.M = std::move(M2);
-                      Next = std::move(N);
-                    });
-      if (Count != 1)
+      // Store S as-is should a subsystem break the one-successor
+      // contract of an ample access.
+      if (!stepAmpleAccess(P, Mem, S.Threads, S.M,
+                           static_cast<ThreadId>(Ample), Step.A))
         return std::move(S);
       ++W.Transitions;
-      S = std::move(*Next);
     }
   }
 
@@ -1860,13 +1821,8 @@ private:
   template <typename AccessHook, typename StateHook>
   void expandState(Shared &Sh, WorkerSlot &W, const ProductState &S,
                    AccessHook &AHook, StateHook &SHook) {
-    struct NaAccess {
-      ThreadId T;
-      LocId Loc;
-      bool IsWrite;
-      uint32_t Pc;
-    };
-    std::vector<NaAccess> NaAccesses;
+    std::vector<NaAccess> &NaAccesses = W.NaBuf;
+    NaAccesses.clear();
     bool AnyStep = false;
     bool AllHalted = true;
 
@@ -1878,17 +1834,16 @@ private:
     // Ample-set POR, exactly as in ProductExplorer::expand: selection is
     // a pure function of the state (no visited-set or order dependence),
     // so all workers — and the BFS replay — reduce to the same
-    // state graph. In non-trace runs fastForward keeps ample states out
-    // of the visited set entirely, so this block fires only in trace
-    // mode (and on the contract-breach fallback).
+    // state graph. fastForward keeps ample states out of the visited set
+    // entirely, so an ample set is found here only on the
+    // contract-breach fallback.
+    W.StepsBuf.resize(P.numThreads());
+    for (unsigned T = 0; T != P.numThreads(); ++T)
+      inspectThreadInto(P, static_cast<ThreadId>(T), S.Threads[T],
+                        W.StepsBuf[T]);
     int Ample = -1;
-    bool PorActive = Opts.UsePor && !Opts.CollectProgramStates &&
-                     Por.usable() && memPorEligible(Mem, S.M);
-    if (PorActive) {
-      W.StepsBuf.clear();
-      for (unsigned T = 0; T != P.numThreads(); ++T)
-        W.StepsBuf.push_back(
-            inspectThread(P, static_cast<ThreadId>(T), S.Threads[T]));
+    if (Opts.UsePor && !Opts.CollectProgramStates && Por.usable() &&
+        memPorEligible(Mem, S.M)) {
       Ample = Por.selectAmple(W.StepsBuf, S.Threads,
                               Opts.CollapseLocalSteps);
       if (Ample >= 0)
@@ -1898,10 +1853,7 @@ private:
     }
 
     for (unsigned T = 0; T != P.numThreads(); ++T) {
-      ThreadStep Step =
-          PorActive ? W.StepsBuf[T]
-                    : inspectThread(P, static_cast<ThreadId>(T),
-                                    S.Threads[T]);
+      const ThreadStep &Step = W.StepsBuf[T];
       if (Step.K != ThreadStep::Kind::Halted)
         AllHalted = false;
       switch (Step.K) {
@@ -1976,9 +1928,8 @@ private:
                         AnyStep = true;
                         ProductState Next;
                         Next.Threads = S.Threads;
-                        Next.Threads[T] =
-                            applyAccess(P, static_cast<ThreadId>(T),
-                                        S.Threads[T], A, L);
+                        applyAccessInPlace(P, static_cast<ThreadId>(T),
+                                           Next.Threads[T], A, L);
                         Next.M = std::move(M2);
                         ++W.Transitions;
                         uint64_t Dirty = dirtyMaskAccess(T, A);
@@ -2001,29 +1952,11 @@ private:
     }
 
     // Definition 6.1 race check, as in the BFS reference.
-    if (Opts.CheckRaces) {
-      for (unsigned I = 0; I != NaAccesses.size(); ++I) {
-        for (unsigned J = I + 1; J != NaAccesses.size(); ++J) {
-          if (NaAccesses[I].Loc != NaAccesses[J].Loc)
-            continue;
-          if (!NaAccesses[I].IsWrite && !NaAccesses[J].IsWrite)
-            continue;
-          Violation V;
-          V.K = Violation::Kind::Race;
-          V.StateId = 0;
-          V.Thread = NaAccesses[I].T;
-          V.Pc = NaAccesses[I].Pc;
-          V.Loc = NaAccesses[I].Loc;
-          V.Detail = "data race on non-atomic '" +
-                     P.locName(NaAccesses[I].Loc) + "' between t" +
-                     std::to_string(NaAccesses[I].T) + " and t" +
-                     std::to_string(NaAccesses[J].T);
+    if (Opts.CheckRaces && !checkNaRaces(P, NaAccesses, [&](Violation V) {
           recordViolation(Sh, std::move(V));
-          if (Opts.StopOnViolation)
-            return;
-        }
-      }
-    }
+          return !Opts.StopOnViolation;
+        }))
+      return;
 
     // Memory-internal steps (e.g. TSO store-buffer flushes). porEligible
     // asserts none are enabled at ample states (see explore/Por.h).
@@ -2046,11 +1979,18 @@ private:
 
   /// Deterministic violation reporting: re-run the BFS reference under
   /// the same semantic options; its violations, trace, and report replace
-  /// the racy worker findings byte-for-byte.
+  /// the racy worker findings byte-for-byte. With RecordTrace the replay
+  /// records parents, which stores every reduced state instead of chain
+  /// endpoints (step-exact traces), so it searches a larger graph than the
+  /// engine did. MaxStates therefore bounds only the replay of a
+  /// truncated run: after a complete sweep or a violation stop, the
+  /// violations lie in the finite reduced graph and the replay runs to
+  /// them. A truncated run's replay may still miss them; it then keeps
+  /// the raw findings (Replayed stays false, no trace).
   template <typename AccessHook>
   void replay(ParExploreResult &Res, AccessHook &AHook) {
     ExploreOptions EO;
-    EO.MaxStates = Opts.MaxStates;
+    EO.MaxStates = Res.Stats.Truncated ? Opts.MaxStates : UINT64_MAX;
     EO.RecordParents = Opts.RecordTrace;
     EO.StopOnViolation = Opts.StopOnViolation;
     EO.CheckAssertions = Opts.CheckAssertions;

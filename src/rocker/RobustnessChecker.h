@@ -32,7 +32,9 @@ struct RockerOptions {
   bool CheckAssertions = true;
   /// Check for Definition 6.1 races on non-atomic locations.
   bool CheckRaces = true;
-  /// Record parent edges so violations come with an SC interleaving.
+  /// On a violation, the replay re-derives a step-exact SC interleaving
+  /// as a trace. Exploration, and hence every count, is the same either
+  /// way.
   bool RecordTrace = true;
   /// Stop at the first violation (otherwise collect them all).
   bool StopOnViolation = true;

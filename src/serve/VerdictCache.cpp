@@ -111,7 +111,7 @@ std::optional<VerdictClass> parseVerdictClass(const std::string &Name) {
 
 std::string cacheKey(const Program &P, const std::string &Mode,
                      const RockerOptions &Opts) {
-  std::string S = "rocker-verdict-key/2|";
+  std::string S = "rocker-verdict-key/3|";
   S += canonicalOptions(Mode, Opts);
   S += "|prog=";
   S += toString(P); // Parser→printer round trip: the normal form.

@@ -106,6 +106,25 @@ TEST(ParallelExplorer, ScmEquivalentOnFullCorpus) {
   EXPECT_GT(Compared, 50u);
 }
 
+TEST(ParallelExplorer, TraceModeLeavesExplorationUnchangedOnFullCorpus) {
+  // RecordTrace only makes the violation replay record parents: the
+  // engine walks ample chains and stores only their endpoints in both
+  // modes, so a full sweep's counts do not depend on it.
+  unsigned Compared = 0;
+  for (const auto &[Name, P] : loadCorpusDir()) {
+    for (unsigned Threads : {1u, 4u}) {
+      RockerOptions Untraced = fullExploreOpts(Threads);
+      RockerOptions Traced = Untraced;
+      Traced.RecordTrace = true;
+      if (expectEquivalent("trace mode", Name, Threads,
+                           checkRobustness(P, Untraced),
+                           checkRobustness(P, Traced)))
+        ++Compared;
+    }
+  }
+  EXPECT_GT(Compared, 80u);
+}
+
 TEST(ParallelExplorer, ScEquivalentOnFullCorpus) {
   unsigned Compared = 0;
   for (const auto &[Name, P] : loadCorpusDir()) {
@@ -181,6 +200,27 @@ TEST(ParallelExplorer, ViolationReportsAreByteIdenticalToSequential) {
       }
     }
   }
+}
+
+TEST(ParallelExplorer, TracedReplayIsNotCutByTheStateBudget) {
+  // The engine stops at lamport2-sc's first violation after storing 11
+  // chain endpoints; the traced replay's BFS stores every reduced state
+  // and reaches its first violation only after 71. A budget in between
+  // bounds the search, which found its violation, not the replay that
+  // re-derives the trace.
+  Program P = findCorpusEntry("lamport2-sc").parse();
+  RockerReport Ref = checkRobustness(P, RockerOptions{});
+  RockerOptions O;
+  O.MaxStates = 40;
+  RockerReport R = checkRobustness(P, O);
+  ASSERT_TRUE(R.Complete);
+  ASSERT_FALSE(R.Robust);
+  EXPECT_LT(R.Stats.NumStates, O.MaxStates);
+  EXPECT_GT(test::bfsReference(P, RockerOptions{}).Stats.NumStates,
+            O.MaxStates);
+  EXPECT_FALSE(R.FirstViolationTrace.empty());
+  EXPECT_EQ(R.FirstViolationText, Ref.FirstViolationText);
+  EXPECT_EQ(R.FirstViolationTrace.size(), Ref.FirstViolationTrace.size());
 }
 
 TEST(ParallelExplorer, BoundedVerdictOnStateBudget) {

@@ -172,19 +172,22 @@ thread t1
   EXPECT_TRUE(On.Robust);
   EXPECT_TRUE(Off.Robust);
   // Full grid: 6x6 = 36 pc combinations. The reduced graph is one
-  // 11-state path, and in non-trace runs every state fast-forwards along
-  // its ample chain before interning, so only the chain's endpoint — here
-  // the final all-halted state — is ever stored.
+  // 11-state path, and the engine fast-forwards every state along its
+  // ample chain before interning, so only the chain's endpoint — here
+  // the final all-halted state — is ever stored, traced or not.
   EXPECT_EQ(Off.Stats.NumStates, 36u);
   EXPECT_EQ(On.Stats.NumStates, 1u);
-
-  // Trace mode stores every reduced state so counterexample replay is
-  // step-exact: the full 11-state path.
   RockerOptions TraceOpts = fullOpts(1, true);
   TraceOpts.RecordTrace = true;
   RockerReport Trace = checkRobustness(P, TraceOpts);
   EXPECT_TRUE(Trace.Robust);
-  EXPECT_EQ(Trace.Stats.NumStates, 11u);
+  EXPECT_EQ(Trace.Stats.NumStates, 1u);
+
+  // The trace replay's BFS records parents, which stores every reduced
+  // state so counterexamples stay step-exact: the full 11-state path.
+  RockerReport Replay = test::bfsReference(P, TraceOpts);
+  EXPECT_TRUE(Replay.Robust);
+  EXPECT_EQ(Replay.Stats.NumStates, 11u);
 }
 
 TEST(Por, ReplayedCounterexamplesMatchGraphOracle) {

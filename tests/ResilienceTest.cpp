@@ -98,10 +98,11 @@ void expectSameOutcome(const RockerReport &Ref, const RockerReport &Got,
 }
 
 /// Truncates a run at \p Cut states with a checkpoint, then resumes to
-/// completion and compares against the uninterrupted \p Ref.
+/// completion with RecordTrace and compares against the uninterrupted
+/// \p Ref. \p CutTraced sets RecordTrace for the truncated run.
 void truncateThenResume(const Program &P, const RockerReport &Ref,
                         unsigned Threads, uint64_t Cut,
-                        bool StopOnViolation) {
+                        bool StopOnViolation, bool CutTraced = true) {
   ScopedFile Ckpt(tmpPath("trunc-" + std::to_string(Threads) + "-" +
                           std::to_string(Cut)));
   std::string What = "threads=" + std::to_string(Threads) +
@@ -109,6 +110,7 @@ void truncateThenResume(const Program &P, const RockerReport &Ref,
 
   RockerOptions Mid = baseOpts(Threads);
   Mid.StopOnViolation = StopOnViolation;
+  Mid.RecordTrace = CutTraced;
   Mid.MaxStates = Cut;
   Mid.Resilience.CheckpointPath = Ckpt.Path;
   RockerReport M = checkRobustness(P, Mid);
@@ -214,7 +216,7 @@ void killResumeLoop(const Program &P, const RockerReport &Ref,
 //===----------------------------------------------------------------------===//
 
 TEST(Resilience, TruncateResumeMatchesUninterruptedSequential) {
-  Program P = findCorpusEntry("peterson-ra").parse();
+  Program P = findCorpusEntry("lamport2-ra").parse();
   RockerReport Ref = checkRobustness(P, baseOpts(1));
   ASSERT_TRUE(Ref.Complete);
   ASSERT_TRUE(Ref.Robust);
@@ -288,10 +290,25 @@ TEST(Resilience, ResumePreservesViolationsAcrossTheCut) {
     truncateThenResume(P, Ref, 1, Cut, /*StopOnViolation=*/false);
 }
 
+TEST(Resilience, UntracedCutResumesTraced) {
+  // RecordTrace only makes the violation replay record parents; the
+  // stored set is the same either way, so the checkpoint's config hash
+  // leaves it out and an untraced run's checkpoint resumes traced.
+  Program P = findCorpusEntry("dekker-sc").parse();
+  RockerOptions O = baseOpts(1);
+  O.StopOnViolation = false;
+  RockerReport Ref = checkRobustness(P, O);
+  ASSERT_TRUE(Ref.Complete);
+  ASSERT_FALSE(Ref.FirstViolationTrace.empty());
+  ASSERT_GT(Ref.Stats.NumStates, 40u);
+  truncateThenResume(P, Ref, 1, 40, /*StopOnViolation=*/false,
+                     /*CutTraced=*/false);
+}
+
 TEST(Resilience, PeriodicCheckpointIsResumable) {
   // A run that completes leaves its last periodic checkpoint behind;
   // resuming from that mid-run snapshot reaches the same result.
-  Program P = findCorpusEntry("peterson-ra").parse();
+  Program P = findCorpusEntry("lamport2-ra").parse();
   RockerReport Ref = checkRobustness(P, baseOpts(1));
   ASSERT_TRUE(Ref.Complete);
 
@@ -334,7 +351,8 @@ TEST(Resilience, KillResumeLoopParallel4) {
 //===----------------------------------------------------------------------===//
 
 TEST(Resilience, MemBudgetWalksLadderSequential) {
-  Program P = findCorpusEntry("peterson-ra").parse();
+  // Enough states (912) for the governor's every-256-expansions tick.
+  Program P = findCorpusEntry("lamport2-ra").parse();
   RockerOptions O = baseOpts(1);
   O.Resilience.MemBudgetBytes = 8 * 1024;
   RockerReport R = checkRobustness(P, O);
@@ -353,14 +371,17 @@ TEST(Resilience, MemBudgetWalksLadderSequential) {
 }
 
 TEST(Resilience, NotRobustSurvivesDegradation) {
-  Program P = findCorpusEntry("lamport2-sc").parse();
+  // A full sweep of 387 states, enough for the governor's every-256
+  // tick; the first violation comes at state 17, before the downgrade.
+  Program P = findCorpusEntry("cilk-the-wsq-sc").parse();
   RockerOptions O = baseOpts(1);
   O.StopOnViolation = false;
   O.MaxStates = 20'000;
   O.Resilience.MemBudgetBytes = 8 * 1024;
   RockerReport R = checkRobustness(P, O);
-  // Violations are concrete counterexamples, so degraded storage cannot
-  // erase a NotRobust verdict.
+  // Violations are concrete counterexamples, so a later downgrade
+  // cannot erase a NotRobust verdict. Bitstate pruning can hide
+  // violations not yet found, hence the early first violation.
   EXPECT_FALSE(R.Robust);
   EXPECT_EQ(R.verdictClass(), VerdictClass::NotRobust);
   EXPECT_FALSE(R.Violations.empty());
@@ -369,8 +390,9 @@ TEST(Resilience, NotRobustSurvivesDegradation) {
 
 TEST(Resilience, MemBudgetDowngradesParallel) {
   // The engine has no stored payloads to shed, so its ladder goes exact
-  // -> bitstate directly, at any worker count.
-  Program P = findCorpusEntry("lamport2-ra").parse();
+  // -> bitstate directly, at any worker count. rcu's 7,143 states give
+  // each worker enough expansions for its every-256 governor tick.
+  Program P = findCorpusEntry("rcu").parse();
   RockerOptions O = baseOpts(4);
   O.MaxStates = 30'000;
   O.Resilience.MemBudgetBytes = 64 * 1024;

@@ -88,6 +88,10 @@ TEST(CacheKey, StableFormat) {
   // Deterministic across calls (and, by construction, across runs: the
   // key hashes a canonical string, never pointers or timestamps).
   EXPECT_EQ(Key, serve::cacheKey(P, "robustness", RockerOptions()));
+  // Pinned value of the rocker-verdict-key/3 format: a change to the
+  // canonical string must come with a version bump (docs/ALGORITHM.md
+  // §14), which changes this value too.
+  EXPECT_EQ(Key, "4cfd28f16862e4ad2adc22ce7dc6efc9");
 }
 
 TEST(CacheKey, InsensitiveToWallClockAndObservabilityKnobs) {
