@@ -166,15 +166,6 @@ const CliOption Options[] = {
        else
          badValue(C, "--visited", V);
      }},
-    {"--visited-log2", "K",
-     "initial lock-free root-table capacity 2^K slots (default 2^18); "
-     "tables grow 4x automatically, truncating only at the 2^30 ceiling",
-     [](CliState &C, const char *V) {
-       if (auto K = num::parseU32(V))
-         C.Opts.LockFreeLog2 = *K;
-       else
-         badValue(C, "--visited-log2", V);
-     }},
     {"--no-por", nullptr,
      "disable the ample-set partial-order reduction (full expansion; "
      "identical verdicts, more states); env equivalent: ROCKER_NO_POR",

@@ -306,9 +306,13 @@ SCMonitor::checkAccess(const State &S, ThreadId T, const MemAccess &A) const {
 // Serialization
 //===----------------------------------------------------------------------===//
 
+/// Appends the low \p Bytes (at most 8) bytes of \p Mask, little-endian,
+/// in one append.
 static void appendMask(std::string &Out, uint64_t Mask, unsigned Bytes) {
-  for (unsigned I = 0; I != Bytes; ++I)
-    Out.push_back(static_cast<char>((Mask >> (8 * I)) & 0xff));
+  char Buf[8];
+  for (unsigned I = 0; I != 8; ++I)
+    Buf[I] = static_cast<char>(Mask >> (8 * I));
+  Out.append(Buf, Bytes);
 }
 
 // In abstract mode value sets only ever contain critical values; pack

@@ -11,18 +11,18 @@
 ///
 ///  * Visited set: by default a lock-free collapse-compressed set of
 ///    interned component-id tuples (support/LockFreeVisited.h — CAS-
-///    claimed open-address tables probed by an incrementally maintained
-///    Zobrist hash, so re-hashing a successor costs only its changed
-///    chunks); --visited=striped selects the mutex-striped tier
+///    claimed open-address tables whose ids are stable, so a successor
+///    re-interns only its changed chunks and each frontier state carries
+///    its own ids); --visited=striped selects the mutex-striped tier
 ///    (support/StateInterner.h / support/ShardedSet.h) instead, and
 ///    CompressVisited off swaps the compressed layout for full serialized
 ///    product-state keys in either tier. Every combination deduplicates
 ///    exactly, so a run that is not truncated visits exactly the
 ///    reachable state set — state and transition counts are equal to the
-///    BFS reference's at every worker count. The lock-free tables are
-///    fixed-capacity; on the (engineered-to-be-rare) full-table event the
-///    run truncates like a MaxStates cut rather than ever
-///    mis-deduplicating. BitstateLog2 starts the run on the bitstate rung
+///    BFS reference's at every worker count. Each lock-free table grows
+///    on its own under a world pause; on the (engineered-to-be-rare)
+///    full-table event the run truncates like a MaxStates cut rather
+///    than ever mis-deduplicating. BitstateLog2 starts the run on the bitstate rung
 ///    (Spin-style double-bit hashing, approximate) instead.
 ///  * Frontier: one WorkDeque per worker (owner LIFO, thieves FIFO), with
 ///    randomized stealing. A single worker therefore explores depth-first.
@@ -65,7 +65,6 @@
 #include "support/ShardedSet.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
-#include "support/Zobrist.h"
 
 #include <atomic>
 #include <bit>
@@ -93,7 +92,7 @@ enum class ParVerdict : uint8_t {
 /// Renders a verdict for reports.
 const char *parVerdictName(ParVerdict V);
 
-/// True when \p MemSys provides the two hooks the incremental Zobrist
+/// True when \p MemSys provides the two hooks the incremental interning
 /// path needs on top of serializeComponents: single-chunk re-emission
 /// (serializeComponent) and a dirty-chunk mask for a step
 /// (dirtyComponents — a superset mask over the subsystem's chunk
@@ -139,10 +138,6 @@ struct ParExploreOptions {
   /// mutex-striped sets. Verdicts, violations, and state counts are
   /// identical either way; only scaling behavior differs.
   VisitedImpl Visited = defaultVisitedImpl();
-  /// Initial lock-free root-table capacity override: 2^k slots (clamped
-  /// to [16, 30]); 0 = the small default (see lockFreeRootLog2). The
-  /// management thread grows the tables 4x as they fill.
-  unsigned LockFreeLog2 = 0;
   /// Max states a thief moves per steal (at least 1). Batched steals
   /// amortize the victim-lock round-trip — the steal-throughput lever
   /// past ~8 workers.
@@ -215,6 +210,11 @@ public:
   struct ProductState {
     std::vector<ThreadState> Threads;
     MemState M;
+    /// Lock-free compressed tier: the component ids by tuple slot, then
+    /// the chunk byte lengths by emission index, recorded when the state
+    /// was interned, so its expansion re-interns nothing (primeParent).
+    /// Empty when unknown (restored from a checkpoint, other tiers).
+    std::vector<uint32_t> Interned;
   };
 
   ParallelExplorer(const Program &P, const MemSys &Mem,
@@ -248,17 +248,14 @@ public:
       Sh.BitstateLog2.store(Opts.BitstateLog2, std::memory_order_relaxed);
     } else if (Opts.CompressVisited) {
       if (LockFree)
-        Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
-            P.numThreads() + memComponentCount(Mem),
-            lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates));
+        Sh.LfInterner.emplace(P.numThreads() + memComponentCount(Mem));
       else
         Sh.Interner.emplace(P.numThreads() + memComponentCount(Mem),
                             Opts.ShardCountLog2);
       SlotOrder = buildSlotOrder(P.numThreads(), memComponentCount(Mem),
                                  memPerThreadTailComponents(Mem));
     } else if (LockFree) {
-      Sh.LfSet = std::make_unique<LockFreeStateSet>(
-          lockFreeRootLog2(Opts.LockFreeLog2, Opts.MaxStates));
+      Sh.LfSet.emplace();
     }
     RunStart = Start;
     auto &RR = Res.Stats.Resilience;
@@ -300,11 +297,12 @@ public:
 
     if (Ready && !RR.Resumed) {
       // The initial state fast-forwards too: state 0 is its chain
-      // endpoint. No primed parent yet, so it takes the full-hash path.
+      // endpoint. No primed parent yet, so it takes the full path.
       uint64_t InitDirty = ~uint64_t{0};
       Init = fastForward(std::move(Init), Sh, *Sh.Workers[0], AHook,
                          InitDirty);
       markVisited(Sh, Init, *Sh.Workers[0]); // Workers not yet running.
+      stampInterned(Sh, Init, *Sh.Workers[0]);
       Sh.StateCount.store(1, std::memory_order_relaxed);
       if (Opts.CollectProgramStates)
         Sh.ProgStates.insert(programStateKey(Init.Threads));
@@ -491,22 +489,24 @@ private:
     uint64_t StealRng = 0;   ///< xorshift64 state for victim selection.
     // Reused scratch for the compressed visited set (markVisited).
     std::string CompBuf;
-    std::vector<uint32_t> TupleBuf;
+    std::vector<uint32_t> TupleBuf;    ///< Component ids, by tuple slot.
+    std::vector<uint32_t> ChunkLenBuf; ///< Chunk bytes, by emission idx.
     std::vector<uint32_t> TreeScratch; ///< insertTuple working space.
     std::vector<ThreadStep> StepsBuf; ///< Scratch: per-thread steps (POR).
     std::vector<ThreadStep> ChainStepsBuf; ///< Scratch: fastForward walk.
     std::vector<NaAccess> NaBuf;      ///< Scratch: expandState's NA steps.
     std::vector<NaAccess> ChainNaBuf; ///< Scratch: chainChecks' NA steps.
     std::vector<ProductState> StealBuf; ///< Batched-steal landing area.
-    // Incremental-hash parent cache (lock-free interner only): the state
-    // being expanded, serialized and interned once by primeParent; each
-    // successor then re-interns only its dirty chunks and XOR-updates the
-    // parent's Zobrist hash (markVisited).
+    // Incremental parent cache (lock-free interner only): the ids and
+    // chunk lengths of the state being expanded (primeParent); each
+    // successor then re-interns only its dirty chunks (markVisited).
     std::vector<uint32_t> ParentIds;      ///< Component ids, by tuple slot.
     std::vector<uint32_t> ParentChunkLen; ///< Chunk bytes, by emission idx.
-    uint64_t ParentHash = 0;   ///< zobristTuple of ParentIds.
     uint64_t ParentRawLen = 0; ///< Raw serialized key length of the parent.
     bool ParentValid = false;
+    /// The last lockFreeIntern call left a complete tuple in TupleBuf and
+    /// ChunkLenBuf (stampInterned copies them into a new state).
+    bool TupleValid = false;
   };
 
   /// State shared by all workers of one run.
@@ -523,11 +523,9 @@ private:
     std::optional<ShardedStateInterner> Interner;
     /// Lock-free tier (Opts.Visited == VisitedImpl::LockFree): exactly
     /// one of LfInterner (compressed) / LfSet (raw) is engaged, mirroring
-    /// Interner / Visited above. unique_ptr (not optional) because the
-    /// tables are immovable and growth swaps in a rebuilt instance under
-    /// a world pause (growLockFree).
-    std::unique_ptr<LockFreeStateInterner> LfInterner;
-    std::unique_ptr<LockFreeStateSet> LfSet;
+    /// Interner / Visited above.
+    std::optional<LockFreeStateInterner> LfInterner;
+    std::optional<LockFreeStateSet> LfSet;
     ShardedStateSet ProgStates;
     TerminationBarrier TB;
     std::vector<std::unique_ptr<WorkerSlot>> Workers;
@@ -541,6 +539,9 @@ private:
     /// A full lock-free table dropped a state: the frontier is no longer
     /// a resumable cut.
     std::atomic<bool> LostStates{false};
+    /// A lock-free table reached 1/2 load: workers ask for a governor
+    /// tick, which grows it (growLockFree).
+    std::atomic<bool> GrowthRequested{false};
     std::mutex ViolM;
     std::vector<Violation> RawViolations;
     std::chrono::steady_clock::time_point Deadline;
@@ -563,6 +564,10 @@ private:
     unsigned ParkedCount = 0;         ///< Guarded by PauseM.
     uint64_t TicksRequested = 0;      ///< Guarded by PauseM.
     uint64_t TicksDone = 0;           ///< Guarded by PauseM.
+    /// The growth re-insert parked workers help with (growLockFree), and
+    /// how many are inside it. Guarded by PauseM.
+    lf::GrowthPlan *Growth = nullptr;
+    unsigned GrowthHelpers = 0;
     std::atomic<unsigned> ActiveWorkers{0};
 
     // Bitstate rung (BitstateLog2 option or governor downgrade): nonzero
@@ -618,10 +623,31 @@ private:
     std::unique_lock<std::mutex> L(Sh.PauseM);
     ++Sh.ParkedCount;
     Sh.ParkedCv.notify_all();
-    Sh.PauseCv.wait(L, [&Sh] {
+    waitParked(Sh, L, [&Sh] {
       return !Sh.PauseRequested.load(std::memory_order_acquire);
     });
     --Sh.ParkedCount;
+  }
+
+  /// A parked worker's wait (PauseM held via \p L) until \p Done, taking
+  /// chunks of a posted growth re-insert meanwhile.
+  template <typename Pred>
+  static void waitParked(Shared &Sh, std::unique_lock<std::mutex> &L,
+                         Pred Done) {
+    for (;;) {
+      Sh.PauseCv.wait(L, [&] {
+        return Done() || (Sh.Growth && Sh.Growth->hasWork());
+      });
+      if (Done())
+        return;
+      lf::GrowthPlan *Plan = Sh.Growth;
+      ++Sh.GrowthHelpers;
+      L.unlock();
+      Plan->work();
+      L.lock();
+      --Sh.GrowthHelpers;
+      Sh.ParkedCv.notify_all();
+    }
   }
 
   static void pauseWorld(Shared &Sh) {
@@ -749,59 +775,41 @@ private:
     resumeWorld(Sh);
   }
 
-  /// True when a lock-free table passed 1/2 load and can still grow. The
-  /// tables start small and rely on the governor to grow them ahead of
-  /// full(): workers check this every 256 expansions and request a tick,
-  /// leaving ~3/8 of the capacity as headroom for the wake-up. Workers
-  /// may read the table pointers unlocked: growLockFree swaps them only
-  /// while every worker is parked.
-  static bool growthDue(const Shared &Sh) {
-    if (Sh.BitstateLog2.load(std::memory_order_relaxed))
-      return false;
-    if (Sh.LfInterner)
-      return Sh.LfInterner->wantsGrowth() &&
-             Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2;
-    return Sh.LfSet && Sh.LfSet->wantsGrowth() &&
-           Sh.LfSet->log2() < MaxLockFreeRootLog2;
-  }
-
-  /// Grows the lock-free visited tier by rebuilding it 4x larger under a
-  /// world pause. Ids are slot indices, so they change wholesale: every
-  /// worker's incremental-hash parent cache is invalidated under the
-  /// pause (the PauseM handoff orders the swap before any worker's next
-  /// probe). Amortized O(states) total re-interning work by geometric
-  /// growth; full() -> Bounded remains the safety net when the tables
-  /// reach the 2^MaxLockFreeRootLog2 ceiling or fill faster than the
-  /// management poll.
+  /// Doubles every lock-free table past 1/2 load under one world pause.
+  /// A table grows alone by re-inserting its own slots; ids do not
+  /// change, so no other table, cached id, or frontier stamp is touched.
+  /// The re-insert is split into chunks that the parked workers take
+  /// too (waitParked); the PauseM handoffs order their stores before
+  /// every worker's next probe. full() -> Bounded remains the safety net
+  /// at the 2^MaxLockFreeLog2 ceiling or when a table fills before the
+  /// pause takes hold.
   void growLockFree(Shared &Sh) {
     pauseWorld(Sh);
-    // Re-check under the pause: full() may have latched (Bounded is
-    // already set, growth is pointless) or a checkpoint pause may have
-    // raced us past the threshold check.
-    if (Sh.LfInterner && Sh.LfInterner->wantsGrowth() &&
-        Sh.LfInterner->rootLog2() < MaxLockFreeRootLog2 &&
-        !Sh.LfInterner->full()) {
-      auto New = std::make_unique<LockFreeStateInterner>(
-          Sh.LfInterner->numSlots(),
-          std::min(Sh.LfInterner->rootLog2() + 2, MaxLockFreeRootLog2));
-      Sh.LfInterner->migrateTo(*New);
-      Sh.LfInterner = std::move(New);
-    } else if (Sh.LfSet && Sh.LfSet->wantsGrowth() &&
-               Sh.LfSet->log2() < MaxLockFreeRootLog2 &&
-               !Sh.LfSet->full()) {
-      auto New = std::make_unique<LockFreeStateSet>(
-          std::min(Sh.LfSet->log2() + 2, MaxLockFreeRootLog2));
-      Sh.LfSet->migrateTo(*New);
-      Sh.LfSet = std::move(New);
-    } else {
-      resumeWorld(Sh);
-      return;
+    lf::GrowthPlan Plan;
+    // A latched full() already made the run Bounded: growth is moot.
+    if (Sh.LfInterner && !Sh.LfInterner->full())
+      Sh.LfInterner->planGrowth(Plan);
+    else if (Sh.LfSet && !Sh.LfSet->full())
+      Sh.LfSet->planGrowth(Plan);
+    if (Plan.tables()) {
+      // Waking the parked workers costs more than a few chunks' work.
+      if (Plan.chunks() > 4) {
+        {
+          std::lock_guard<std::mutex> L(Sh.PauseM);
+          Sh.Growth = &Plan;
+        }
+        Sh.PauseCv.notify_all();
+      }
+      Plan.work();
+      {
+        std::unique_lock<std::mutex> L(Sh.PauseM);
+        Sh.Growth = nullptr;
+        Sh.ParkedCv.wait(L, [&Sh] { return Sh.GrowthHelpers == 0; });
+      }
+      Plan.finish();
+      obs::add(obs::Ctr::VisitedGrowths, Plan.tables());
     }
-    // Component ids are slot indices in the old tables; drop every
-    // worker's primed parent so the next expansion re-interns fresh.
-    for (const std::unique_ptr<WorkerSlot> &W : Sh.Workers)
-      W->ParentValid = false;
-    obs::add(obs::Ctr::VisitedGrowths);
+    Sh.GrowthRequested.store(false, std::memory_order_relaxed);
     resumeWorld(Sh);
   }
 
@@ -814,7 +822,7 @@ private:
     uint64_t Seq = ++Sh.TicksRequested;
     ++Sh.ParkedCount;
     Sh.ParkedCv.notify_all();
-    Sh.PauseCv.wait(L, [&Sh, Seq] { return Sh.TicksDone >= Seq; });
+    waitParked(Sh, L, [&Sh, Seq] { return Sh.TicksDone >= Seq; });
     --Sh.ParkedCount;
   }
 
@@ -881,7 +889,8 @@ private:
           }
         }
       }
-      if (!Sh.TB.stopped() && growthDue(Sh)) {
+      if (!Sh.TB.stopped() &&
+          Sh.GrowthRequested.load(std::memory_order_relaxed)) {
         growLockFree(Sh);
         // The pause stalls expansion; don't let it trip the watchdog.
         WatchT = std::chrono::steady_clock::now();
@@ -1051,18 +1060,13 @@ private:
         for (uint64_t I = 0; I != Sh.BitstateWords; ++I)
           W.u64(Sh.Bitstate[I].load(std::memory_order_relaxed));
       } else if (Sh.LfInterner) {
-        // Lock-free ids are slot indices, so the capacity at save time
-        // (growth may have raised it past the initial sizing) is part of
-        // the format: restore rebuilds the instance at this log2.
         W.u8(3);
-        W.u32(Sh.LfInterner->rootLog2());
         Sh.LfInterner->save(W);
       } else if (Sh.Interner) {
         W.u8(0);
         Sh.Interner->save(W);
       } else if (Sh.LfSet) {
         W.u8(4);
-        W.u32(Sh.LfSet->log2());
         Sh.LfSet->save(W);
       } else {
         W.u8(1);
@@ -1192,38 +1196,16 @@ private:
           return false;
         }
       } else if (Tag == 3) {
-        // Lock-free ids are slot indices, so the table capacity must
-        // round-trip exactly: rebuild the instance at the saved log2
-        // (growth may have raised it past this run's initial sizing).
-        unsigned SavedLog2 = R.u32();
-        if (!Sh.LfInterner || R.fail() || SavedLog2 < 16 ||
-            SavedLog2 > MaxLockFreeRootLog2) {
-          RR.ResumeError =
-              "corrupt checkpoint: lock-free compressed visited set (or "
-              "--visited/--compress-visited mismatch)";
-          return false;
-        }
-        if (Sh.LfInterner->rootLog2() != SavedLog2)
-          Sh.LfInterner = std::make_unique<LockFreeStateInterner>(
-              Sh.LfInterner->numSlots(), SavedLog2);
-        if (!Sh.LfInterner->restore(R)) {
+        // Tables are saved as (id, entry) lists and re-inserted at
+        // whatever capacity they need; ids survive, slots need not.
+        if (!Sh.LfInterner || !Sh.LfInterner->restore(R)) {
           RR.ResumeError =
               "corrupt checkpoint: lock-free compressed visited set (or "
               "--visited/--compress-visited mismatch)";
           return false;
         }
       } else if (Tag == 4) {
-        unsigned SavedLog2 = R.u32();
-        if (Sh.LfInterner || Sh.Interner || !Sh.LfSet || R.fail() ||
-            SavedLog2 < 16 || SavedLog2 > MaxLockFreeRootLog2) {
-          RR.ResumeError =
-              "corrupt checkpoint: lock-free visited set (or --visited/"
-              "--compress-visited mismatch)";
-          return false;
-        }
-        if (Sh.LfSet->log2() != SavedLog2)
-          Sh.LfSet = std::make_unique<LockFreeStateSet>(SavedLog2);
-        if (!Sh.LfSet->restore(R)) {
+        if (!Sh.LfSet || !Sh.LfSet->restore(R)) {
           RR.ResumeError =
               "corrupt checkpoint: lock-free visited set (or --visited/"
               "--compress-visited mismatch)";
@@ -1275,14 +1257,18 @@ private:
   }
 
   /// Folds one markVisited call's probe telemetry into the worker's
-  /// atomics (owner-only writer; relaxed load+store, no RMW cost).
-  static void flushProbeStats(WorkerSlot &W, const lf::ProbeStats &St) {
+  /// atomics (owner-only writer; relaxed load+store, no RMW cost) and
+  /// passes a table's growth cue on to the governor.
+  static void flushProbeStats(Shared &Sh, WorkerSlot &W,
+                              const lf::ProbeStats &St) {
     W.CasRetries.store(
         W.CasRetries.load(std::memory_order_relaxed) + St.CasRetries,
         std::memory_order_relaxed);
     W.ProbeSteps.store(
         W.ProbeSteps.load(std::memory_order_relaxed) + St.ProbeSteps,
         std::memory_order_relaxed);
+    if (St.WantGrowth)
+      Sh.GrowthRequested.store(true, std::memory_order_relaxed);
   }
 
   /// Appends emission chunk \p Idx of \p S (threads first, then the
@@ -1334,70 +1320,53 @@ private:
     return ~uint64_t{0};
   }
 
-  /// Caches the state being expanded — per-slot component ids, per-chunk
-  /// byte lengths, raw key length, and the tuple's Zobrist hash — so each
-  /// successor re-interns only its dirty chunks. The chunks were already
-  /// interned when \p S itself was marked visited, so every probe here is
-  /// a hit (one memoized-hash compare); the cost is one serialization per
-  /// expansion, repaid (successors × clean chunks) times.
+  /// Loads the parent cache for the state being expanded — per-slot
+  /// component ids, per-chunk byte lengths, raw key length — so each
+  /// successor re-interns only its dirty chunks. A state this run
+  /// interned carries them (ProductState::Interned); one restored from a
+  /// checkpoint is serialized and interned once, every probe a hit.
   void primeParent(Shared &Sh, const ProductState &S, WorkerSlot &W) const {
     W.ParentValid = false;
     if constexpr (HasIncrementalHash<MemSys>) {
       if (!Sh.LfInterner ||
           Sh.BitstateLog2.load(std::memory_order_acquire))
         return;
-      LockFreeStateInterner &In = *Sh.LfInterner;
-      unsigned NumEmit = In.numSlots();
+      unsigned NumEmit = Sh.LfInterner->numSlots();
       if (NumEmit > 64)
         return;
-      lf::ProbeStats St;
-      W.ParentIds.resize(NumEmit);
-      W.ParentChunkLen.resize(NumEmit);
-      W.CompBuf.clear();
-      uint64_t RawLen = 0;
-      unsigned Idx = 0;
-      bool Ok = true;
-      auto Cut = [&] {
-        unsigned Slot = SlotOrder[Idx];
-        uint32_t Id = In.internComponent(Slot, W.CompBuf, St);
-        if (Id == LockFreeStateInterner::InvalidId)
-          Ok = false;
-        W.ParentIds[Slot] = Id;
-        W.ParentChunkLen[Idx] = static_cast<uint32_t>(W.CompBuf.size());
-        RawLen += W.CompBuf.size();
-        ++Idx;
-        W.CompBuf.clear();
-      };
-      for (const ThreadState &TS : S.Threads) {
-        appendThreadStateKey(W.CompBuf, TS);
-        Cut();
+      if (S.Interned.size() == 2 * NumEmit) {
+        W.ParentIds.assign(S.Interned.begin(), S.Interned.begin() + NumEmit);
+        W.ParentChunkLen.assign(S.Interned.begin() + NumEmit,
+                                S.Interned.end());
+      } else {
+        lf::ProbeStats St;
+        bool Ok = internChunks(*Sh.LfInterner, S, W, ~uint64_t{0}, St);
+        flushProbeStats(Sh, W, St);
+        if (!Ok)
+          return; // Full table: successors take the (also failing) full path.
+        W.ParentIds = W.TupleBuf;
+        W.ParentChunkLen = W.ChunkLenBuf;
       }
-      serializeMemComponents(Mem, S.M, W.CompBuf, Cut);
-      flushProbeStats(W, St);
-      if (!Ok)
-        return; // Full table: successors take the (also failing) full path.
-      W.ParentHash = zobristTuple(W.ParentIds.data(), NumEmit);
-      W.ParentRawLen = RawLen;
+      W.ParentRawLen = 0;
+      for (uint32_t Len : W.ParentChunkLen)
+        W.ParentRawLen += Len;
       W.ParentValid = true;
     }
   }
 
-  /// Lock-free compressed insert. With a valid parent cache and a
-  /// bounded dirty mask, only the dirty chunks are re-serialized and
-  /// re-interned and the Zobrist hash is XOR-updated (O(changed
-  /// components) instead of O(state)); otherwise every chunk is handled,
-  /// as in the striped path.
-  bool lockFreeIntern(Shared &Sh, const ProductState &S, WorkerSlot &W,
-                      uint64_t Dirty) const {
-    LockFreeStateInterner &In = *Sh.LfInterner;
+  /// Interns the chunks of \p S into \p W.TupleBuf (ids by tuple slot)
+  /// and \p W.ChunkLenBuf (lengths by emission index). With a valid
+  /// parent cache and a bounded dirty mask only the dirty chunks are
+  /// re-serialized and re-interned (O(changed components) instead of
+  /// O(state)); otherwise every chunk is handled, as in the striped
+  /// path. False when a component table is full.
+  bool internChunks(LockFreeStateInterner &In, const ProductState &S,
+                    WorkerSlot &W, uint64_t Dirty, lf::ProbeStats &St) const {
     unsigned NumEmit = In.numSlots();
-    lf::ProbeStats St;
-    bool Ok = true;
     if constexpr (HasIncrementalHash<MemSys>) {
       if (W.ParentValid && Dirty != ~uint64_t{0} && NumEmit <= 64) {
         W.TupleBuf = W.ParentIds;
-        uint64_t H = W.ParentHash;
-        uint64_t RawLen = W.ParentRawLen;
+        W.ChunkLenBuf = W.ParentChunkLen;
         uint64_t Mask = NumEmit == 64 ? ~uint64_t{0}
                                       : (uint64_t{1} << NumEmit) - 1;
         for (uint64_t Rest = Dirty & Mask; Rest; Rest &= Rest - 1) {
@@ -1406,35 +1375,26 @@ private:
           W.CompBuf.clear();
           serializeChunk(S, Idx, W.CompBuf);
           uint32_t Id = In.internComponent(Slot, W.CompBuf, St);
-          if (Id == LockFreeStateInterner::InvalidId) {
-            Ok = false;
-            break;
-          }
-          RawLen += W.CompBuf.size();
-          RawLen -= W.ParentChunkLen[Idx];
-          H = zobristUpdate(H, Slot, W.TupleBuf[Slot], Id);
+          if (Id == LockFreeStateInterner::InvalidId)
+            return false;
           W.TupleBuf[Slot] = Id;
+          W.ChunkLenBuf[Idx] = static_cast<uint32_t>(W.CompBuf.size());
         }
-        bool New = Ok && In.insertTuple(W.TupleBuf.data(), H,
-                                        LockFreeStateSet::entryBytes(RawLen),
-                                        St, W.TreeScratch);
-        flushProbeStats(W, St);
-        if (!New && (!Ok || In.full()))
-          return tableFull(Sh);
-        return New;
+        return true;
       }
     }
     W.TupleBuf.resize(NumEmit);
+    W.ChunkLenBuf.resize(NumEmit);
     W.CompBuf.clear();
-    uint64_t RawLen = 0;
     unsigned Idx = 0;
+    bool Ok = true;
     auto Cut = [&] {
-      RawLen += W.CompBuf.size();
-      unsigned Slot = SlotOrder[Idx++];
+      unsigned Slot = SlotOrder[Idx];
       uint32_t Id = In.internComponent(Slot, W.CompBuf, St);
       if (Id == LockFreeStateInterner::InvalidId)
         Ok = false;
       W.TupleBuf[Slot] = Id;
+      W.ChunkLenBuf[Idx++] = static_cast<uint32_t>(W.CompBuf.size());
       W.CompBuf.clear();
     };
     for (const ThreadState &TS : S.Threads) {
@@ -1442,15 +1402,44 @@ private:
       Cut();
     }
     serializeMemComponents(Mem, S.M, W.CompBuf, Cut);
-    bool New =
-        Ok && In.insertTuple(W.TupleBuf.data(),
-                             zobristTuple(W.TupleBuf.data(), NumEmit),
-                             LockFreeStateSet::entryBytes(RawLen), St,
-                             W.TreeScratch);
-    flushProbeStats(W, St);
-    if (!New && (!Ok || In.full()))
+    return Ok;
+  }
+
+  /// Lock-free compressed insert: interns the chunks, then collapses the
+  /// tuple into the node and root tables.
+  bool lockFreeIntern(Shared &Sh, const ProductState &S, WorkerSlot &W,
+                      uint64_t Dirty) const {
+    LockFreeStateInterner &In = *Sh.LfInterner;
+    lf::ProbeStats St;
+    W.TupleValid = internChunks(In, S, W, Dirty, St);
+    bool New = false;
+    if (W.TupleValid) {
+      uint64_t RawLen = 0;
+      for (uint32_t Len : W.ChunkLenBuf)
+        RawLen += Len;
+      New = In.insertTuple(W.TupleBuf.data(),
+                           LockFreeStateSet::entryBytes(RawLen), St,
+                           W.TreeScratch);
+    }
+    flushProbeStats(Sh, W, St);
+    if (!New && (!W.TupleValid || In.full()))
       return tableFull(Sh);
     return New;
+  }
+
+  /// Stores the tuple the last markVisited call interned into \p S, so
+  /// its expansion needs no re-interning (primeParent).
+  void stampInterned(const Shared &Sh, ProductState &S,
+                     const WorkerSlot &W) const {
+    if constexpr (HasIncrementalHash<MemSys>) {
+      if (!Sh.LfInterner || !W.TupleValid ||
+          Sh.BitstateLog2.load(std::memory_order_acquire))
+        return;
+      S.Interned.reserve(W.TupleBuf.size() + W.ChunkLenBuf.size());
+      S.Interned.assign(W.TupleBuf.begin(), W.TupleBuf.end());
+      S.Interned.insert(S.Interned.end(), W.ChunkLenBuf.begin(),
+                        W.ChunkLenBuf.end());
+    }
   }
 
   /// Bytes the configured tier's uncompressed set holds per key of \p Len
@@ -1502,7 +1491,7 @@ private:
       lf::ProbeStats St;
       bool New =
           Sh.LfSet->insert(productStateKey(Mem, S.Threads, S.M), St);
-      flushProbeStats(W, St);
+      flushProbeStats(Sh, W, St);
       if (!New && Sh.LfSet->full())
         return tableFull(Sh);
       return New;
@@ -1530,6 +1519,7 @@ private:
       ++W.DedupHits;
       return;
     }
+    stampInterned(Sh, Next, W);
     if (Opts.CollectProgramStates)
       Sh.ProgStates.insert(programStateKey(Next.Threads));
     if (std::optional<Violation> V = SHook(Next))
@@ -1619,7 +1609,7 @@ private:
       if ((E & 255) == 0)
         publishProgress(Sh, W, Me);
       if ((Sh.TickEvery && E % Sh.TickEvery == 0) ||
-          ((E & 255) == 0 && growthDue(Sh)))
+          Sh.GrowthRequested.load(std::memory_order_relaxed))
         requestTick(Sh);
       if (Sh.HasDeadline && (E & 63) == 0 &&
           std::chrono::steady_clock::now() > Sh.Deadline) {

@@ -38,8 +38,9 @@
 namespace rocker::ckpt {
 
 /// Container format version; bumped on any layout change so old files are
-/// rejected instead of misdecoded.
-constexpr uint32_t FormatVersion = 1;
+/// rejected instead of misdecoded. Version 2 stores the lock-free visited
+/// tables as (id, entry) lists instead of by slot.
+constexpr uint32_t FormatVersion = 2;
 
 /// Writes \p Payload to \p Path crash-safely (tmp + fsync + rename +
 /// parent-directory fsync; without the final directory fsync a power loss

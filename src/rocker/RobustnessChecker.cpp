@@ -25,7 +25,6 @@ ParExploreOptions parOptions(const RockerOptions &Opts) {
   PE.RecordTrace = Opts.RecordTrace;
   PE.CompressVisited = Opts.CompressVisited;
   PE.Visited = Opts.Visited;
-  PE.LockFreeLog2 = Opts.LockFreeLog2;
   PE.UsePor = Opts.UsePor;
   PE.Resilience = Opts.Resilience;
   return PE;

@@ -61,12 +61,6 @@ struct RockerOptions {
   /// --visited=striped` / ROCKER_VISITED=striped). Verdicts, counts, and
   /// traces are identical either way.
   VisitedImpl Visited = defaultVisitedImpl();
-  /// log2 of the lock-free tier's *initial* root-table capacity (0 =
-  /// default 2^18). The tables grow automatically (4x rebuild under a
-  /// world pause at 1/2 load); a run truncates (Complete == false, like
-  /// a MaxStates cut) only at the 2^30 growth ceiling, or if a table
-  /// fills before the management thread can grow it.
-  unsigned LockFreeLog2 = 0;
   /// Monitor-aware ample-set partial-order reduction (explore/Por.h):
   /// identical verdicts and violation sets with typically far fewer
   /// expanded states. `rocker_cli --no-por` / ROCKER_NO_POR=1 turns it

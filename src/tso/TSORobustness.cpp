@@ -82,7 +82,6 @@ ParExploreResult collectStates(const Program &P, const MemSys &Mem,
   PE.RecordTrace = false;
   PE.CompressVisited = Opts.CompressVisited;
   PE.Visited = Opts.Visited;
-  PE.LockFreeLog2 = Opts.LockFreeLog2;
   PE.UsePor = Opts.UsePor; // Inert: CollectProgramStates forces full.
   PE.Resilience.DeadlineSeconds = Opts.DeadlineSeconds;
   ParallelExplorer<MemSys> Ex(P, Mem, PE);

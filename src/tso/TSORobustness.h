@@ -47,8 +47,6 @@ struct TSOOptions {
   bool CompressVisited = defaultCompressVisited();
   /// Visited tier (see ParExploreOptions::Visited).
   VisitedImpl Visited = defaultVisitedImpl();
-  /// Initial lock-free root-table log2 (see ParExploreOptions).
-  unsigned LockFreeLog2 = 0;
   /// Ample-set partial-order reduction (explore/Por.h). Plumbed through
   /// to both explorations for uniformity, but state robustness compares
   /// the *full* reachable program-state projections, so the engines'

@@ -25,6 +25,7 @@
 
 #include "litmus/Corpus.h"
 #include "memory/SCMemory.h"
+#include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "parexplore/ParallelExplorer.h"
 #include "resilience/Checkpoint.h"
@@ -231,6 +232,49 @@ TEST(Resilience, TruncateResumeMatchesUninterruptedParallel4) {
   ASSERT_TRUE(Ref.Robust);
   for (uint64_t Cut : {50u, 200u})
     truncateThenResume(P, Ref, 4, Cut, /*StopOnViolation=*/true);
+}
+
+TEST(Resilience, CutAfterGrowthResumesToUninterruptedOutcome) {
+  // Lock-free tables are checkpointed as (id, entry) lists. A cut taken
+  // after they grew restores into fresh tables at their small initial
+  // sizes, which resize to fit; the ids survive, and the resumed run
+  // ends exactly as an uninterrupted one.
+  Program P = findCorpusEntry("rcu-offline").parse();
+  for (unsigned Threads : {1u, 4u}) {
+    std::string What = "threads=" + std::to_string(Threads);
+    RockerOptions Full = baseOpts(Threads);
+    Full.Visited = VisitedImpl::LockFree;
+    Full.CompressVisited = true; // The interner's tables, in every mode.
+    RockerReport Ref = checkRobustness(P, Full);
+    ASSERT_TRUE(Ref.Complete) << What;
+    ASSERT_GT(Ref.Stats.NumStates, 20000u) << What;
+
+    ScopedFile Ckpt(tmpPath("grown-" + std::to_string(Threads)));
+    RockerOptions Mid = Full;
+    // One worker explores in a fixed order, in which a component table
+    // grows before the cut; more workers usually but not always get
+    // there first.
+    Mid.MaxStates = 20000;
+    Mid.Resilience.CheckpointPath = Ckpt.Path;
+    obs::Snapshot Before = obs::snapshot();
+    RockerReport M = checkRobustness(P, Mid);
+    if (obs::telemetryEnabled() && Threads == 1) {
+      EXPECT_GE(obs::snapshot().counter(obs::Ctr::VisitedGrowths) -
+                    Before.counter(obs::Ctr::VisitedGrowths),
+                1u)
+          << What;
+    }
+    ASSERT_FALSE(M.Complete) << What;
+    ASSERT_TRUE(fs::exists(Ckpt.Path)) << What;
+
+    RockerOptions Fin = Full;
+    Fin.Resilience.ResumePath = Ckpt.Path;
+    RockerReport R = checkRobustness(P, Fin);
+    ASSERT_TRUE(R.Stats.Resilience.ResumeError.empty())
+        << What << ": " << R.Stats.Resilience.ResumeError;
+    EXPECT_GE(R.Stats.Resilience.RestoredStates, 20000u) << What;
+    expectSameOutcome(Ref, R, What);
+  }
 }
 
 TEST(Resilience, OneWorkerCutFinishesThePoppedState) {
@@ -461,6 +505,35 @@ TEST(Resilience, StaleAndCrossEngineResumesAreRejected) {
   EXPECT_NE(checkRobustness(P, Seq)
                 .Stats.Resilience.ResumeError.find("different engine"),
             std::string::npos);
+}
+
+TEST(Resilience, OldFormatVersionIsRejected) {
+  // The lock-free tables' checkpoint layout changed with the container
+  // format version; a file of the previous version must be refused
+  // before its payload is decoded.
+  ScopedFile Ckpt(tmpPath("oldver"));
+  Program P = findCorpusEntry("peterson-ra").parse();
+  RockerOptions Mid = baseOpts(1);
+  Mid.MaxStates = 100;
+  Mid.Resilience.CheckpointPath = Ckpt.Path;
+  ASSERT_FALSE(checkRobustness(P, Mid).Complete);
+  {
+    // The version is the u32 after the 4-byte magic.
+    std::fstream Fix(Ckpt.Path,
+                     std::ios::in | std::ios::out | std::ios::binary);
+    uint32_t Old = ckpt::FormatVersion - 1;
+    Fix.seekp(4);
+    Fix.write(reinterpret_cast<const char *>(&Old), sizeof(Old));
+  }
+  RockerOptions RO = baseOpts(1);
+  RO.Resilience.ResumePath = Ckpt.Path;
+  RockerReport R = checkRobustness(P, RO);
+  EXPECT_NE(R.Stats.Resilience.ResumeError.find(
+                "unsupported checkpoint format version"),
+            std::string::npos)
+      << R.Stats.Resilience.ResumeError;
+  EXPECT_FALSE(R.Complete);
+  EXPECT_EQ(R.Stats.NumStates, 0u);
 }
 
 TEST(Resilience, CorruptCheckpointIsRejected) {

@@ -105,9 +105,11 @@ TEST(Telemetry, CountersAggregateAcrossThreads) {
 }
 
 // The acceptance property: for a single-threaded verification run, the
-// per-phase times bracket-summed around it match the engine-reported
-// Seconds — self-time spans charge each instant to exactly one phase, so
-// this holds by construction, not by luck.
+// per-phase times bracket-summed around it match the time the spans can
+// cover, the worker's own lifetime — self-time spans charge each instant
+// to exactly one phase, so this holds by construction, not by luck. The
+// run's wall Seconds also counts the main thread's thread start and join,
+// which stretch under a loaded machine, so it only bounds the sum.
 TEST(Telemetry, PhaseTimesSumToExploreSeconds) {
   Program P = findCorpusEntry("lamport2-ra").parse();
   RockerOptions O;
@@ -117,9 +119,12 @@ TEST(Telemetry, PhaseTimesSumToExploreSeconds) {
   RockerReport R = checkRobustness(P, O);
   obs::Snapshot D = obs::diff(obs::snapshot(), Before);
   ASSERT_TRUE(R.Complete);
+  ASSERT_EQ(R.Stats.Workers.size(), 1u);
   double Sum = D.attributedSeconds();
-  EXPECT_NEAR(Sum, R.Stats.Seconds, 0.05 * R.Stats.Seconds + 0.002)
-      << "phase times must sum to the exploration wall time";
+  double Lifetime = R.Stats.Workers[0].Seconds;
+  EXPECT_NEAR(Sum, Lifetime, 0.05 * Lifetime + 0.002)
+      << "phase times must sum to the worker's lifetime";
+  EXPECT_LE(Lifetime, R.Stats.Seconds);
   // The hot-loop phases dominate; the monitor and visited set both saw
   // real work.
   EXPECT_GT(D.phase(obs::Phase::Explore), 0.0);

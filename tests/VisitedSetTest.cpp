@@ -14,8 +14,8 @@
 //    the raw visited set, corpus-wide, at 1 and 4 threads.
 //  * unit tests of StateInterner / ShardedStateInterner themselves.
 //  * the lock-free visited tier (support/LockFreeVisited.h): CAS-table
-//    unit tests (concurrent exactness, save/restore, sticky full()),
-//    Zobrist delta-vs-full property checks, growth/migration identity,
+//    unit tests (concurrent exactness and id agreement, save/restore,
+//    sticky full()), pair-hash spread, per-table growth with stable ids,
 //    and lock-free-vs-striped verdict/count equivalence at 1, 4, and 16
 //    workers (16 is oversubscribed on small machines — that is the
 //    point: heavy interleaving, same answers).
@@ -31,13 +31,13 @@
 #include "support/LockFreeVisited.h"
 #include "support/StateInterner.h"
 #include "support/StateKey.h"
-#include "support/Zobrist.h"
 #include "tso/TSORobustness.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -338,90 +338,104 @@ TEST(CompressedVisited, StatsReportBytesAndRatio) {
 }
 
 //===----------------------------------------------------------------------===//
-// Zobrist hashing: the incremental identity the lock-free tier relies on
+// Pair hashing: node and root tables probe by hashMix64 of the payload
 //===----------------------------------------------------------------------===//
 
-TEST(Zobrist, DeltaEqualsFullForEverySingleSlotChange) {
-  constexpr unsigned N = 9;
-  uint32_t Ids[N];
-  for (unsigned I = 0; I != N; ++I)
-    Ids[I] = I * 17 + 3;
-  uint64_t H = zobristTuple(Ids, N);
-  for (unsigned Slot = 0; Slot != N; ++Slot) {
-    uint32_t Mutated[N];
-    std::copy(Ids, Ids + N, Mutated);
-    Mutated[Slot] = Ids[Slot] + 100000;
-    EXPECT_EQ(zobristUpdate(H, Slot, Ids[Slot], Mutated[Slot]),
-              zobristTuple(Mutated, N))
-        << "slot " << Slot;
-    // And the update is self-inverse (remove == undo install).
-    EXPECT_EQ(zobristUpdate(zobristUpdate(H, Slot, Ids[Slot],
-                                          Mutated[Slot]),
-                            Slot, Mutated[Slot], Ids[Slot]),
-              H);
-  }
+namespace {
+
+/// Probe steps per insert of the \p N x \p N dense id pairs into an empty
+/// table of 2^Log2 slots.
+template <typename Table> double stepsPerDenseInsert(uint32_t N,
+                                                     unsigned Log2) {
+  Table T(Log2);
+  lf::ProbeStats St;
+  bool New = false;
+  for (uint32_t A = 0; A != N; ++A)
+    for (uint32_t B = 0; B != N; ++B)
+      EXPECT_NE(T.intern(lf::packPair(A, B), St, New), Table::InvalidId);
+  EXPECT_EQ(T.used(), uint64_t{N} * N);
+  return double(St.ProbeSteps) / (double(N) * N);
 }
 
-TEST(Zobrist, DeltaEqualsFullOnRandomMultiSlotWalk) {
-  // Deterministic xorshift walk: mutate 1-4 slots per step and keep the
-  // hash incrementally; it must track the full re-hash at every step.
-  constexpr unsigned N = 13;
-  uint32_t Ids[N] = {};
-  uint64_t H = zobristTuple(Ids, N);
-  uint64_t Rng = 0x243f6a8885a308d3ull;
-  auto Next = [&Rng] {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    return Rng;
-  };
-  for (unsigned Step = 0; Step != 2000; ++Step) {
-    unsigned Changes = 1 + Next() % 4;
-    for (unsigned C = 0; C != Changes; ++C) {
-      unsigned Slot = Next() % N;
-      uint32_t NewId = static_cast<uint32_t>(Next());
-      H = zobristUpdate(H, Slot, Ids[Slot], NewId);
-      Ids[Slot] = NewId;
-    }
-    ASSERT_EQ(H, zobristTuple(Ids, N)) << "step " << Step;
-  }
-}
+} // namespace
 
-TEST(Zobrist, DistinctTuplesRarelyCollide) {
-  // Not a correctness requirement (equality is decided on the tuple, a
-  // collision only costs probe steps), but a sanity check that the
-  // mixing is not degenerate.
-  constexpr unsigned N = 4;
+TEST(PairHashing, DistinctPairsRarelyCollide) {
+  // Ids come from per-table counters, so payloads are pairs of small
+  // dense integers; their hashes must not collide (a collision costs
+  // probe steps, never correctness).
   std::vector<uint64_t> Hashes;
-  for (uint32_t A = 0; A != 16; ++A)
-    for (uint32_t B = 0; B != 16; ++B)
-      for (uint32_t C = 0; C != 16; ++C) {
-        uint32_t Ids[N] = {A, B, C, A ^ B};
-        Hashes.push_back(zobristTuple(Ids, N));
-      }
+  for (uint32_t A = 0; A != 64; ++A)
+    for (uint32_t B = 0; B != 64; ++B)
+      Hashes.push_back(hashMix64(lf::packPair(A, B)));
   std::sort(Hashes.begin(), Hashes.end());
   EXPECT_EQ(std::unique(Hashes.begin(), Hashes.end()), Hashes.end());
+}
+
+TEST(PairHashing, DenseIdPairsProbeShort) {
+  // 4096 dense pairs at 1/2 load: linear probing over a well-mixed hash
+  // expects ~1.5 steps per insert; a degenerate mix would cluster.
+  EXPECT_LT(stepsPerDenseInsert<lf::NodeTable>(64, 13), 2.5);
+  EXPECT_LT(stepsPerDenseInsert<lf::RootTable>(64, 13), 2.5);
+}
+
+TEST(PairHashing, RootHashIsRecomputedFromTheSlotOnGrowth) {
+  // The root table keeps bare payloads: growth must find every root
+  // again from its slot word alone.
+  lf::RootTable T(10);
+  lf::ProbeStats St;
+  bool New = false;
+  for (uint32_t I = 0; I != 600; ++I)
+    T.intern(lf::packPair(I, I * 3), St, New);
+  ASSERT_TRUE(T.wantsGrowth());
+  lf::GrowthPlan Plan;
+  Plan.add(T);
+  Plan.work();
+  Plan.finish();
+  EXPECT_EQ(T.log2(), grownLog2(10));
+  EXPECT_EQ(T.used(), 600u);
+  for (uint32_t I = 0; I != 600; ++I) {
+    T.intern(lf::packPair(I, I * 3), St, New);
+    EXPECT_FALSE(New) << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // Lock-free table unit tests
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Id -> payload of every stored pair (quiesced).
+std::map<uint32_t, uint64_t> nodesById(const lf::NodeTable &T) {
+  std::map<uint32_t, uint64_t> M;
+  T.forEach([&](uint32_t Id, uint64_t P) { M.emplace(Id, P); });
+  return M;
+}
+
+std::map<uint32_t, std::string> stringsById(const lf::StringTable &T) {
+  std::map<uint32_t, std::string> M;
+  T.forEach([&](uint32_t Id, std::string_view B) { M.emplace(Id, B); });
+  return M;
+}
+
+} // namespace
+
 TEST(LockFreeTables, PairTableInternsAndDedups) {
-  lf::PairTable T(10);
+  lf::NodeTable T(10);
   lf::ProbeStats St;
   bool New = false;
-  uint32_t A = T.intern(lf::packPair(1, 2), 12345, St, New);
+  uint32_t A = T.intern(lf::packPair(1, 2), St, New);
   EXPECT_TRUE(New);
-  EXPECT_EQ(T.get(A), lf::packPair(1, 2));
-  uint32_t B = T.intern(lf::packPair(1, 2), 12345, St, New);
+  EXPECT_EQ(A, 0u); // Ids come from the table's counter, not the slot.
+  uint32_t B = T.intern(lf::packPair(1, 2), St, New);
   EXPECT_FALSE(New);
   EXPECT_EQ(A, B);
-  // Same hash, different payload: linear probing must separate them.
-  uint32_t C = T.intern(lf::packPair(3, 4), 12345, St, New);
+  uint32_t C = T.intern(lf::packPair(3, 4), St, New);
   EXPECT_TRUE(New);
-  EXPECT_NE(A, C);
-  EXPECT_EQ(T.get(C), lf::packPair(3, 4));
+  EXPECT_EQ(C, 1u);
+  EXPECT_EQ(nodesById(T),
+            (std::map<uint32_t, uint64_t>{{0, lf::packPair(1, 2)},
+                                          {1, lf::packPair(3, 4)}}));
   EXPECT_EQ(T.used(), 2u);
   EXPECT_FALSE(T.full());
 }
@@ -429,92 +443,143 @@ TEST(LockFreeTables, PairTableInternsAndDedups) {
 TEST(LockFreeTables, RecycledArraysComeBackEmpty) {
   // A table's word array is pooled when it is destroyed and handed to
   // the next table of its size (last in, first out); every slot the
-  // first table claimed must read as empty again.
+  // first table claimed must read as empty again — both words of a
+  // node slot, which would otherwise hand out a stale id.
   lf::ProbeStats St;
   bool New = false;
   {
-    lf::PairTable T(6);
+    lf::NodeTable T(6);
     for (uint64_t I = 0; I != 50; ++I)
-      T.intern(lf::packPair(I, I + 1), hashMix64(I), St, New);
+      T.intern(lf::packPair(I, I + 1), St, New);
     ASSERT_EQ(T.used(), 50u);
   }
-  lf::PairTable T(6);
+  lf::NodeTable T(6);
   EXPECT_EQ(T.used(), 0u);
-  uint64_t NonZero = 0;
-  T.forEach([&](uint32_t, uint64_t) { ++NonZero; });
-  EXPECT_EQ(NonZero, 0u);
+  EXPECT_TRUE(nodesById(T).empty());
   for (uint64_t I = 0; I != 50; ++I) {
-    T.intern(lf::packPair(I, I + 1), hashMix64(I), St, New);
+    EXPECT_EQ(T.intern(lf::packPair(I + 7, I), St, New), I);
     EXPECT_TRUE(New) << I;
   }
 }
 
 TEST(LockFreeTables, PairTableConcurrentInsertsAreExact) {
-  // 4 threads intern the same 8192 payloads: every id must map back to
-  // its payload and the used count must be exact (no double-claims).
+  // 4 threads intern the same 8192 payloads: every thread must see the
+  // same id per payload, the ids must be exactly 0..N-1, and the used
+  // count must be exact (no double-claims).
   constexpr uint32_t N = 8192;
-  lf::PairTable T(14);
-  auto Work = [&] {
+  lf::NodeTable T(14);
+  std::vector<std::vector<uint32_t>> Ids(4, std::vector<uint32_t>(N));
+  auto Work = [&](unsigned W) {
     lf::ProbeStats St;
     for (uint32_t I = 0; I != N; ++I) {
       bool New = false;
-      uint32_t Id = T.intern(I, hashMix64(I), St, New);
-      ASSERT_NE(Id, lf::PairTable::InvalidId);
-      ASSERT_EQ(T.get(Id), I);
+      Ids[W][I] = T.intern(I, St, New);
     }
   };
   std::vector<std::thread> Threads;
   for (unsigned W = 0; W != 4; ++W)
-    Threads.emplace_back(Work);
+    Threads.emplace_back(Work, W);
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(T.used(), N);
   EXPECT_FALSE(T.full());
+  for (unsigned W = 1; W != 4; ++W)
+    EXPECT_EQ(Ids[W], Ids[0]) << "thread " << W;
+  std::map<uint32_t, uint64_t> ById = nodesById(T);
+  ASSERT_EQ(ById.size(), N);
+  EXPECT_EQ(ById.rbegin()->first, N - 1);
+  for (uint32_t I = 0; I != N; ++I)
+    EXPECT_EQ(ById[Ids[0][I]], I);
+}
+
+TEST(LockFreeTables, NodeIdsAgreeAcross16Threads) {
+  // 16 threads intern overlapping payload ranges (each starts at a
+  // different offset into the same 4096-pair window, so most claims
+  // race with a reader that must wait out the id write): every thread
+  // must get the same id for the same payload.
+  constexpr unsigned NumThreads = 16;
+  constexpr uint32_t N = 4096;
+  lf::NodeTable T(14);
+  std::vector<std::vector<uint32_t>> Ids(NumThreads,
+                                         std::vector<uint32_t>(N));
+  auto Work = [&](unsigned W) {
+    lf::ProbeStats St;
+    for (uint32_t K = 0; K != N; ++K) {
+      uint32_t I = (K + W * 256) % N;
+      bool New = false;
+      Ids[W][I] = T.intern(lf::packPair(I, I ^ 5), St, New);
+    }
+  };
+  std::vector<std::thread> Threads;
+  for (unsigned W = 0; W != NumThreads; ++W)
+    Threads.emplace_back(Work, W);
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(T.used(), N);
+  for (unsigned W = 1; W != NumThreads; ++W)
+    EXPECT_EQ(Ids[W], Ids[0]) << "thread " << W;
+  std::map<uint32_t, uint64_t> ById = nodesById(T);
+  ASSERT_EQ(ById.size(), N);
+  for (uint32_t I = 0; I != N; ++I)
+    EXPECT_EQ(ById[Ids[0][I]], lf::packPair(I, I ^ 5));
 }
 
 TEST(LockFreeTables, StringTableConcurrentInsertsAreExact) {
   constexpr uint32_t N = 4096;
   lf::StringTable T(13);
-  auto Work = [&] {
+  std::vector<std::vector<uint32_t>> Ids(4, std::vector<uint32_t>(N));
+  auto Work = [&](unsigned W) {
     lf::ProbeStats St;
     for (uint32_t I = 0; I != N; ++I) {
-      std::string S = "key-" + std::to_string(I);
       bool New = false;
-      uint32_t Id = T.intern(S, St, New);
-      ASSERT_NE(Id, lf::StringTable::InvalidId);
-      ASSERT_EQ(T.get(Id), S);
+      Ids[W][I] = T.intern("key-" + std::to_string(I), St, New);
+      ASSERT_NE(Ids[W][I], lf::StringTable::InvalidId);
     }
   };
   std::vector<std::thread> Threads;
   for (unsigned W = 0; W != 4; ++W)
-    Threads.emplace_back(Work);
+    Threads.emplace_back(Work, W);
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(T.used(), N);
   EXPECT_GT(T.bytesUsed(), N * sizeof(uint64_t));
+  for (unsigned W = 1; W != 4; ++W)
+    EXPECT_EQ(Ids[W], Ids[0]) << "thread " << W;
+  std::map<uint32_t, std::string> ById = stringsById(T);
+  ASSERT_EQ(ById.size(), N);
+  for (uint32_t I = 0; I != N; ++I)
+    EXPECT_EQ(ById[Ids[0][I]], "key-" + std::to_string(I));
 }
 
 TEST(LockFreeTables, PairTableSaveRestoreKeepsSlotPlacement) {
-  lf::PairTable T(10);
+  // Saved as (id, payload) and re-inserted: every id survives restore,
+  // at the table's own capacity or any other.
+  lf::NodeTable T(10);
   lf::ProbeStats St;
   std::vector<std::pair<uint32_t, uint64_t>> Entries;
   for (uint32_t I = 0; I != 100; ++I) {
     bool New = false;
     uint64_t P = lf::packPair(I, I * 7);
-    Entries.emplace_back(T.intern(P, hashMix64(P), St, New), P);
+    Entries.emplace_back(T.intern(P, St, New), P);
   }
   BinWriter W;
   T.save(W);
-  lf::PairTable R(10);
+  for (unsigned Log2 : {10u, 6u, 12u}) {
+    lf::NodeTable R(Log2);
+    BinReader Rd(W.Buf);
+    ASSERT_TRUE(R.restore(Rd)) << Log2;
+    EXPECT_EQ(R.used(), T.used());
+    EXPECT_FALSE(R.wantsGrowth()) << Log2; // Sized to its contents.
+    EXPECT_EQ(nodesById(R), nodesById(T));
+    bool New = false;
+    for (auto [Id, P] : Entries)
+      EXPECT_EQ(R.intern(P, St, New), Id);
+    // The counter resumes past the restored ids.
+    EXPECT_EQ(R.intern(lf::packPair(999, 1), St, New), 100u);
+  }
+  // Restoring over live entries is rejected.
   BinReader Rd(W.Buf);
-  ASSERT_TRUE(R.restore(Rd));
-  EXPECT_EQ(R.used(), T.used());
-  for (auto [Id, P] : Entries)
-    EXPECT_EQ(R.get(Id), P); // Ids are slot indices: placement-exact.
-  // A capacity mismatch must be rejected, not silently rehashed.
-  lf::PairTable Wrong(11);
-  BinReader Rd2(W.Buf);
-  EXPECT_FALSE(Wrong.restore(Rd2));
+  EXPECT_FALSE(T.restore(Rd));
 }
 
 TEST(LockFreeTables, StringTableSaveRestoreKeepsSlotPlacement) {
@@ -529,122 +594,239 @@ TEST(LockFreeTables, StringTableSaveRestoreKeepsSlotPlacement) {
   }
   BinWriter W;
   T.save(W);
-  lf::StringTable R(10);
+  lf::StringTable R(7);
   BinReader Rd(W.Buf);
   ASSERT_TRUE(R.restore(Rd));
   EXPECT_EQ(R.used(), T.used());
-  for (const auto &[Id, S] : Entries)
-    EXPECT_EQ(R.get(Id), S);
+  EXPECT_EQ(R.bytesUsed(), T.bytesUsed());
+  EXPECT_EQ(stringsById(R), stringsById(T));
+  for (const auto &[Id, S] : Entries) {
+    bool New = false;
+    EXPECT_EQ(R.intern(S, St, New), Id);
+    EXPECT_FALSE(New);
+  }
 }
 
 TEST(LockFreeTables, FullTableLatchesStickyAndRejectsInserts) {
   // 2^8 slots, load cap 7/8 → 224 claims; the next distinct payload must
   // fail with InvalidId and latch full() without corrupting dedup.
-  lf::PairTable T(8);
+  lf::NodeTable T(8);
   lf::ProbeStats St;
   bool New = false;
   uint32_t Cap = 256 - 256 / 8;
   for (uint32_t I = 0; I != Cap; ++I)
-    ASSERT_NE(T.intern(I, hashMix64(I), St, New), lf::PairTable::InvalidId);
+    ASSERT_NE(T.intern(I, St, New), lf::NodeTable::InvalidId);
   EXPECT_FALSE(T.full());
   EXPECT_TRUE(T.wantsGrowth()); // Growth should have been asked long ago.
-  EXPECT_EQ(T.intern(9999, hashMix64(9999), St, New),
-            lf::PairTable::InvalidId);
+  EXPECT_TRUE(St.WantGrowth);
+  EXPECT_EQ(T.intern(9999, St, New), lf::NodeTable::InvalidId);
   EXPECT_TRUE(T.full()); // Sticky.
   // Existing payloads still dedup exactly while full.
-  EXPECT_NE(T.intern(5, hashMix64(5), St, New), lf::PairTable::InvalidId);
+  EXPECT_EQ(T.intern(5, St, New), 5u);
   EXPECT_FALSE(New);
 }
 
-//===----------------------------------------------------------------------===//
-// Growth migration: rebuilds must preserve the stored state set exactly
-//===----------------------------------------------------------------------===//
-
-TEST(LockFreeVisited, SetMigrationPreservesKeys) {
-  LockFreeStateSet Small(10);
-  lf::ProbeStats St;
-  for (uint32_t I = 0; I != 600; ++I)
-    EXPECT_TRUE(Small.insert("state-" + std::to_string(I), St));
-  EXPECT_TRUE(Small.wantsGrowth()); // 600/1024 is past the 1/2 trigger.
-  LockFreeStateSet Big(12);
-  Small.migrateTo(Big);
-  EXPECT_EQ(Big.size(), Small.size());
-  for (uint32_t I = 0; I != 600; ++I)
-    EXPECT_FALSE(Big.insert("state-" + std::to_string(I), St)) << I;
-  EXPECT_TRUE(Big.insert("state-new", St));
+TEST(LockFreeTables, GrowthCueFiresOnceAtHalfLoad) {
+  lf::StringTable T(8);
+  bool New = false;
+  for (uint32_t I = 0; I != 200; ++I) {
+    lf::ProbeStats St;
+    T.intern("s" + std::to_string(I), St, New);
+    EXPECT_EQ(St.WantGrowth, I + 1 == 128) << I;
+  }
 }
 
-TEST(LockFreeVisited, InternerMigrationPreservesStates) {
-  // 5 slots exercises the odd-width reduction levels (5 -> 3 -> 2).
-  constexpr unsigned Slots = 5;
-  LockFreeStateInterner Small(Slots, 16);
+TEST(LockFreeTables, ComponentTableGrowsAloneAndKeepsIds) {
+  // One component table passes 1/2 load; only it grows, the ids it
+  // issued before growth come back unchanged after it, and the node and
+  // root tables keep their capacity.
+  constexpr unsigned Slots = 3;
+  LockFreeStateInterner In(Slots);
   lf::ProbeStats St;
   std::vector<uint32_t> Scratch;
-  auto Insert = [&](LockFreeStateInterner &In, uint32_t Seed) {
-    uint32_t Ids[Slots];
-    uint64_t RawLen = 0;
-    for (unsigned S = 0; S != Slots; ++S) {
-      std::string C = "c" + std::to_string(S) + "-" +
-                      std::to_string(Seed % (37 + S));
-      RawLen += C.size();
-      Ids[S] = In.internComponent(S, C, St);
+  const unsigned CompLog2 = In.componentLog2(1);
+  const uint32_t N = (1u << CompLog2) / 2 + 10;
+  std::vector<uint32_t> Ids(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    Ids[I] = In.internComponent(1, "c" + std::to_string(I), St);
+    if (I % 64 == 0) {
+      uint32_t Tuple[Slots] = {In.internComponent(0, "a", St), Ids[I],
+                               In.internComponent(2, "b", St)};
+      EXPECT_TRUE(In.insertTuple(Tuple, 1, St, Scratch));
     }
-    return In.insertTuple(Ids, zobristTuple(Ids, Slots),
-                          LockFreeStateSet::entryBytes(RawLen), St,
-                          Scratch);
-  };
-  constexpr uint32_t N = 5000;
+  }
+  EXPECT_TRUE(St.WantGrowth);
+  const unsigned NodeLog2 = In.nodeLog2(), RootLog2 = In.rootLog2();
+  const uint64_t States = In.size();
+  lf::GrowthPlan Plan;
+  In.planGrowth(Plan);
+  EXPECT_EQ(Plan.tables(), 1u);
+  Plan.work();
+  Plan.finish();
+  EXPECT_EQ(In.componentLog2(1), grownLog2(CompLog2));
+  EXPECT_EQ(In.componentLog2(0), CompLog2);
+  EXPECT_EQ(In.componentLog2(2), CompLog2);
+  EXPECT_EQ(In.nodeLog2(), NodeLog2);
+  EXPECT_EQ(In.rootLog2(), RootLog2);
   for (uint32_t I = 0; I != N; ++I)
-    Insert(Small, I);
-  uint64_t Stored = Small.size();
-  ASSERT_GT(Stored, 1000u);
-  LockFreeStateInterner Big(Slots, 18);
-  Small.migrateTo(Big);
-  EXPECT_EQ(Big.size(), Stored);
-  EXPECT_EQ(Big.rawBytes(), Small.rawBytes());
-  // Every original state must dedup against the migrated instance (ids
-  // changed, state identity did not)...
+    ASSERT_EQ(In.internComponent(1, "c" + std::to_string(I), St), Ids[I])
+        << I;
+  for (uint32_t I = 0; I < N; I += 64) {
+    uint32_t Tuple[Slots] = {In.internComponent(0, "a", St), Ids[I],
+                             In.internComponent(2, "b", St)};
+    EXPECT_FALSE(In.insertTuple(Tuple, 1, St, Scratch)) << I;
+  }
+  EXPECT_EQ(In.size(), States);
+}
+
+TEST(LockFreeTables, GrowthReinsertSplitAcrossThreads) {
+  // The engine's parked workers share one growth plan; concurrent
+  // chunk-takers must place every entry exactly once.
+  lf::StringTable T(16);
+  lf::ProbeStats St;
+  bool New = false;
+  constexpr uint32_t N = 40000;
+  std::vector<uint32_t> Ids(N);
   for (uint32_t I = 0; I != N; ++I)
-    EXPECT_FALSE(Insert(Big, I)) << I;
-  EXPECT_EQ(Big.size(), Stored);
-  // ...and fresh states must still be accepted as new.
-  EXPECT_TRUE(Insert(Big, N * 1000 + 1));
+    Ids[I] = T.intern("k" + std::to_string(I), St, New);
+  lf::GrowthPlan Plan;
+  Plan.add(T);
+  ASSERT_EQ(Plan.tables(), 1u);
+  std::vector<std::thread> Threads;
+  for (unsigned W = 0; W != 4; ++W)
+    Threads.emplace_back([&Plan] { Plan.work(); });
+  for (std::thread &Th : Threads)
+    Th.join();
+  Plan.finish();
+  EXPECT_EQ(T.log2(), grownLog2(16));
+  EXPECT_EQ(T.used(), N);
+  for (uint32_t I = 0; I != N; ++I) {
+    ASSERT_EQ(T.intern("k" + std::to_string(I), St, New), Ids[I]) << I;
+    ASSERT_FALSE(New);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Growth: each table grows alone, preserving the stored state set and ids
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Grows every table of \p T past 1/2 load, as the engine's pause does.
+template <typename T> size_t growAll(T &Tables) {
+  lf::GrowthPlan Plan;
+  Tables.planGrowth(Plan);
+  Plan.work();
+  Plan.finish();
+  return Plan.tables();
+}
+
+} // namespace
+
+TEST(LockFreeVisited, SetMigrationPreservesKeys) {
+  LockFreeStateSet Set;
+  lf::ProbeStats St;
+  const uint32_t N = (1u << Set.log2()) / 2 + 100;
+  for (uint32_t I = 0; I != N; ++I)
+    EXPECT_TRUE(Set.insert("state-" + std::to_string(I), St));
+  EXPECT_TRUE(St.WantGrowth);
+  unsigned Log2 = Set.log2();
+  EXPECT_EQ(growAll(Set), 1u);
+  EXPECT_EQ(Set.log2(), grownLog2(Log2));
+  EXPECT_EQ(Set.size(), N);
+  for (uint32_t I = 0; I != N; ++I)
+    EXPECT_FALSE(Set.insert("state-" + std::to_string(I), St)) << I;
+  EXPECT_TRUE(Set.insert("state-new", St));
+}
+
+namespace {
+
+/// Interns the 5-slot state of \p Seed (5 slots exercise the odd-width
+/// reduction levels 5 -> 3 -> 2); \p Ids receives its component ids.
+/// Grows the tables whenever an insert cues it, as the engine does, and
+/// counts the tables grown in \p Growths.
+bool insertSeed(LockFreeStateInterner &In, uint32_t Seed,
+                std::vector<uint32_t> &Ids, size_t &Growths) {
+  lf::ProbeStats St;
+  std::vector<uint32_t> Scratch;
+  Ids.resize(In.numSlots());
+  uint64_t RawLen = 0;
+  for (unsigned S = 0; S != In.numSlots(); ++S) {
+    std::string C = "c" + std::to_string(S) + "-" +
+                    std::to_string(Seed % (37 + S * 4000));
+    RawLen += C.size();
+    Ids[S] = In.internComponent(S, C, St);
+  }
+  bool New = In.insertTuple(Ids.data(), LockFreeStateSet::entryBytes(RawLen),
+                            St, Scratch);
+  if (St.WantGrowth)
+    Growths += growAll(In);
+  return New;
+}
+
+} // namespace
+
+TEST(LockFreeVisited, InternerMigrationPreservesStates) {
+  // Roots, nodes and the two widest component tables grow, each when
+  // it passes 1/2 load, between inserts.
+  LockFreeStateInterner In(5);
+  const unsigned CompLog2 = In.componentLog2(0);
+  const unsigned NodeLog2 = In.nodeLog2(), RootLog2 = In.rootLog2();
+  std::vector<uint32_t> Ids;
+  size_t Growths = 0;
+  constexpr uint32_t N = 40000;
+  std::vector<std::vector<uint32_t>> Before(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    EXPECT_TRUE(insertSeed(In, I, Ids, Growths)) << I;
+    Before[I] = Ids;
+  }
+  EXPECT_EQ(In.size(), N);
+  EXPECT_GT(In.rootLog2(), RootLog2);
+  EXPECT_GT(In.nodeLog2(), NodeLog2);
+  EXPECT_EQ(In.componentLog2(2), CompLog2);
+  EXPECT_EQ(In.componentLog2(4), grownLog2(CompLog2));
+  EXPECT_GE(Growths, 4u);
+  // Every state dedups against the grown tables with the component ids
+  // it got before any growth...
+  size_t Again = 0;
+  for (uint32_t I = 0; I != N; ++I) {
+    EXPECT_FALSE(insertSeed(In, I, Ids, Again)) << I;
+    EXPECT_EQ(Ids, Before[I]) << I;
+  }
+  EXPECT_EQ(In.size(), N);
+  // ...and fresh states are still accepted as new.
+  EXPECT_TRUE(insertSeed(In, N * 1000 + 1, Ids, Again));
 }
 
 TEST(LockFreeVisited, GrownInternerSaveRestoreRoundTrips) {
-  // The engine checkpoints the grown size and reconstructs at it; the
-  // payload itself must round-trip through save/restore at that size.
-  constexpr unsigned Slots = 3;
-  LockFreeStateInterner A(Slots, 16);
-  lf::ProbeStats St;
-  std::vector<uint32_t> Scratch;
-  auto Insert = [&](LockFreeStateInterner &In, uint32_t Seed) {
-    uint32_t Ids[Slots];
-    for (unsigned S = 0; S != Slots; ++S) {
-      std::string C = std::to_string(Seed * (S + 1) % 101);
-      Ids[S] = In.internComponent(S, C, St);
-    }
-    return In.insertTuple(Ids, zobristTuple(Ids, Slots),
-                          stringNodeBytes(8, 0), St, Scratch);
-  };
-  for (uint32_t I = 0; I != 2000; ++I)
-    Insert(A, I);
-  LockFreeStateInterner Grown(Slots, 18);
-  A.migrateTo(Grown);
+  // A grown interner is saved as (id, entry) lists and restored into a
+  // fresh one at its small initial sizes: every table re-sizes to its
+  // contents and every id survives.
+  LockFreeStateInterner A(5);
+  std::vector<uint32_t> Ids;
+  size_t Growths = 0;
+  constexpr uint32_t N = 20000;
+  std::vector<std::vector<uint32_t>> Before(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    insertSeed(A, I, Ids, Growths);
+    Before[I] = Ids;
+  }
+  ASSERT_GE(Growths, 1u);
   BinWriter W;
-  Grown.save(W);
-  LockFreeStateInterner Restored(Slots, 18);
+  A.save(W);
+  LockFreeStateInterner Restored(5);
   BinReader R(W.Buf);
   ASSERT_TRUE(Restored.restore(R));
-  EXPECT_EQ(Restored.size(), Grown.size());
-  EXPECT_EQ(Restored.rawBytes(), Grown.rawBytes());
-  for (uint32_t I = 0; I != 2000; ++I)
-    EXPECT_FALSE(Insert(Restored, I)) << I;
-  // Restoring into the wrong capacity must be rejected (slot indices
-  // would not round-trip).
-  LockFreeStateInterner Wrong(Slots, 16);
+  EXPECT_EQ(Restored.size(), A.size());
+  EXPECT_EQ(Restored.rawBytes(), A.rawBytes());
+  EXPECT_EQ(Restored.bytesUsed(), A.bytesUsed());
+  for (uint32_t I = 0; I != N; ++I) {
+    EXPECT_FALSE(insertSeed(Restored, I, Ids, Growths)) << I;
+    EXPECT_EQ(Ids, Before[I]) << I;
+  }
+  // Restoring over live entries must be rejected.
   BinReader R2(W.Buf);
-  EXPECT_FALSE(Wrong.restore(R2));
+  EXPECT_FALSE(A.restore(R2));
 }
 
 //===----------------------------------------------------------------------===//
@@ -762,15 +944,14 @@ TEST(LockFreeVisited, TsoOracleIdenticalAcrossImpls) {
 }
 
 TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
-  // End-to-end growth: seqlock's 327k states cross the minimal initial
-  // table's 1/2-load trigger (2^16 roots grow at 2^15 states), the
-  // management thread rebuilds under pause — invalidating every
-  // worker's incremental-hash parent cache — and the verdict and counts
-  // still match a striped run exactly.
+  // End-to-end growth: seqlock's 127,116 states pass the initial
+  // tables' 1/2-load cues (2^16 roots grow at 2^15 states), the
+  // management thread doubles each table under a pause — ids stay, so
+  // workers keep their parent caches and frontier stamps — and the
+  // verdict and counts still match a striped run exactly.
   Program P = findCorpusEntry("seqlock").parse();
   RockerOptions Lf = implOpts(2, VisitedImpl::LockFree);
   Lf.MaxStates = 1'000'000;
-  Lf.LockFreeLog2 = 16;
   obs::Snapshot Before = obs::snapshot();
   RockerReport A = checkRobustness(P, Lf);
   uint64_t Growths = obs::snapshot().counter(obs::Ctr::VisitedGrowths) -
@@ -781,6 +962,7 @@ TEST(LockFreeVisited, GrowthFiresAndPreservesCounts) {
   EXPECT_EQ(A.Robust, B.Robust);
   EXPECT_EQ(A.Stats.NumStates, B.Stats.NumStates);
   EXPECT_TRUE(A.Complete);
-  if (obs::telemetryEnabled())
-    EXPECT_GE(Growths, 1u);
+  if (obs::telemetryEnabled()) {
+    EXPECT_GE(Growths, 2u); // Roots and nodes grow.
+  }
 }
